@@ -67,7 +67,7 @@ const INNER: usize = 5;
 /// One un-timed LCC run; returns (firings, total work units) plus the
 /// final snapshot when the registry was live.
 fn one_run(p: &Prepared, live: &Arc<Live>, slo: Option<&Arc<SloMonitor>>) -> (u64, u64) {
-    let phase = spam_psm::tlp::run_parallel_lcc_live(
+    let phase = spam_psm::tlp::run_parallel_lcc_scene(
         &p.sp,
         &p.scene,
         &p.fragments,
@@ -78,6 +78,7 @@ fn one_run(p: &Prepared, live: &Arc<Live>, slo: Option<&Arc<SloMonitor>>) -> (u6
         &Recorder::off(),
         live,
         slo,
+        None,
     )
     .expect("supervised LCC");
     (phase.firings, phase.work.total_units())

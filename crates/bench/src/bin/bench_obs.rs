@@ -12,7 +12,7 @@ use spam::lcc::Level;
 use spam_psm::trace::{lcc_trace, record_phase_metrics, record_sim_metrics};
 use tlp_bench::{header, Prepared};
 use tlp_fault::{FaultPlan, SupervisorConfig};
-use tlp_obs::{Metric, MetricsRegistry, ObsLevel, Recorder};
+use tlp_obs::{Live, Metric, MetricsRegistry, ObsLevel, Recorder};
 
 fn main() {
     let out = std::env::args()
@@ -22,7 +22,7 @@ fn main() {
     let p = Prepared::new(spam::datasets::dc());
 
     let rec = Recorder::new(ObsLevel::Full);
-    let phase = spam_psm::tlp::run_parallel_lcc_traced(
+    let phase = spam_psm::tlp::run_parallel_lcc_scene(
         &p.sp,
         &p.scene,
         &p.fragments,
@@ -31,6 +31,9 @@ fn main() {
         &SupervisorConfig::default(),
         &FaultPlan::none(),
         &rec,
+        &Live::off(),
+        None,
+        None,
     )
     .expect("supervised LCC");
     let trace = lcc_trace(&phase);

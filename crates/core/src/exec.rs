@@ -6,21 +6,22 @@
 //! threads and measures wall-clock nanoseconds, so the paper's central
 //! claim — near-linear task-level speed-up for hundreds of independent
 //! OPS5 engines — can be checked against hardware, not just the model.
+//! It is the repo's only thread pool:
+//! [`crate::supervise`](mod@crate::supervise) runs the paper's central
+//! task queue on it too.
 //!
 //! # Scheduling
 //!
-//! The seed architecture (and [`crate::supervise`]) uses one shared FIFO
-//! queue: every dequeue contends on one lock, which is exactly the
-//! task-queue bottleneck §6.2 budgets. Here each worker owns a
-//! *deque* in the Chase–Lev discipline — the owner pushes and pops at the
-//! back (LIFO, cache-warm), thieves steal from the front (FIFO, the
-//! oldest and typically largest chunks) — plus one shared overflow queue
-//! (the *injector*) fed by bounded-deque spill-over at distribution time
-//! and by the supervisor's retries. The deques are `Mutex<VecDeque>`
-//! rather than the lock-free original: this crate forbids `unsafe`, and
-//! at SPAM's task granularity (whole OPS5 engine runs, ~milliseconds) a
-//! per-deque lock is uncontended noise while preserving the Chase–Lev
-//! access pattern that matters for distribution and steal accounting.
+//! Each worker owns a *deque* in the Chase–Lev discipline — the owner
+//! pushes and pops at the back (LIFO, cache-warm), thieves steal from the
+//! front (FIFO, the oldest and typically largest chunks) — plus one shared
+//! overflow queue (the *injector*) fed by bounded-deque spill-over at
+//! distribution time and by the supervisor's retries. The deques are
+//! `Mutex<VecDeque>` rather than the lock-free original: this crate
+//! forbids `unsafe`, and at SPAM's task granularity (whole OPS5 engine
+//! runs, ~milliseconds) a per-deque lock is uncontended noise while
+//! preserving the Chase–Lev access pattern that matters for distribution
+//! and steal accounting.
 //!
 //! Initial placement is *dynamically chunked*: tasks are grouped into
 //! contiguous chunks whose estimated work reaches the cost model's
@@ -31,24 +32,29 @@
 //! initial working-set of WMEs arrives in batches rather than one task at
 //! a time.
 //!
+//! [`ExecConfig::central_queue`] gives the deques no capacity, so every
+//! job spills to the overflow queue in task order and retries join its
+//! back: the paper's single central FIFO task queue (§5.1), every dequeue
+//! contending on one lock, as §6.2 budgets.
+//!
 //! # Supervision, observability, attribution
 //!
 //! Nothing is lost relative to the simulator path. Every attempt runs
-//! under `catch_unwind` with the same retry/deadline/dead-letter policy
-//! as [`crate::supervise::supervise_observed`]; the flight recorder sees
-//! `task.exec` spans plus `task.steal` instants; live telemetry gets the
-//! per-worker busy/task series plus steal and overflow counters; scene
-//! traces get the same derived `task.exec` span ids. The measured
-//! schedule is returned as an [`ExecReport`] which converts to a
+//! under `catch_unwind` with the [`SupervisorConfig`] retry/deadline/
+//! dead-letter policy; the flight recorder sees `task.exec` spans plus
+//! `task.steal` instants; live telemetry gets the per-worker busy/task
+//! series plus steal and overflow counters; scene traces get derived
+//! `task.exec` span ids. The measured schedule is returned as an
+//! [`ExecReport`] which converts to a
 //! [`multimax_sim::SimResult`] ([`ExecReport::to_sim_result`]) — so the
 //! gap accountant ([`crate::attribution::GapAttribution`]) and the Gantt
 //! timeline work on measured traces exactly as on simulated ones.
 
-use crate::supervise::{install_quiet_hook, TaskAttempt, WORKER_NAME};
+use crate::supervise::TaskAttempt;
 use multimax_sim::{SimResult, TaskExec};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, Once, PoisonError};
 use std::time::{Duration, Instant};
 use tlp_fault::{FaultPlan, SuperviseError, SupervisorConfig, TaskOutcome, TaskReport, TaskStatus};
 use tlp_obs::{
@@ -60,6 +66,39 @@ use tlp_obs::{
 /// estimates (WME counts) on the same scale as the cost model's
 /// `chunk_units` (ParaOPS5's ~100-instruction granularity).
 pub const ESTIMATE_UNITS_PER_WME: u64 = 10;
+
+/// Name prefix of pool worker threads; the quiet panic hook uses it to
+/// keep injected/caught panics out of test output.
+const WORKER_NAME: &str = "psm-task";
+
+/// Installs (once) a panic hook that suppresses default printing for
+/// panics on pool worker threads — those panics are caught and reported
+/// through the [`TaskReport`], so the default stderr dump is noise.
+/// Other threads keep the previous hook behaviour.
+pub(crate) fn install_quiet_hook() {
+    static ONCE: Once = Once::new();
+    ONCE.call_once(|| {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let suppress = std::thread::current()
+                .name()
+                .is_some_and(|n| n.starts_with(WORKER_NAME));
+            if !suppress {
+                prev(info);
+            }
+        }));
+    });
+}
+
+fn payload_to_string(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "panic with non-string payload".to_string()
+    }
+}
 
 /// Work-stealing executor configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -90,6 +129,16 @@ impl ExecConfig {
             workers,
             chunk_target: model.granularity(),
             deque_capacity: 64,
+        }
+    }
+
+    /// The paper's central FIFO task queue on `workers` threads: no deque
+    /// capacity, so every job goes to the shared overflow queue in task
+    /// order and retries re-enter at its back.
+    pub fn central_queue(workers: usize) -> ExecConfig {
+        ExecConfig {
+            deque_capacity: 0,
+            ..ExecConfig::new(workers)
         }
     }
 }
@@ -302,8 +351,10 @@ enum Source {
 /// The work-stealing pool: per-worker deques (owner back, thieves
 /// front), a shared overflow/injector queue, and a parking lot.
 ///
-/// Like the supervisor's `JobQueue`, every lock recovers from poisoning:
-/// queue state is a plain collection with no half-updatable invariant.
+/// Every lock recovers from poisoning: queue state is a plain collection
+/// with no half-updatable invariant, so a panic while holding a lock (an
+/// allocation failure, a chaos fault in the push path) must not wedge
+/// the control process behind a dead queue.
 /// The `pending` count under the `sync` lock tracks jobs enqueued
 /// anywhere; it rises *before* the job becomes visible in its queue, so
 /// a worker that pops a job always decrements a count that already
@@ -452,12 +503,11 @@ pub fn execute<T: Send>(
     )
 }
 
-/// Runs `labels.len()` tasks as real jobs on the work-stealing pool, with
-/// the full supervision and observability contract of
-/// [`crate::supervise::supervise_observed`] — same retry/deadline/
-/// dead-letter policy, same fault injection, same recorder/live/SLO/scene
-/// wiring, same derived `task.exec` span ids — plus the measured
-/// [`ExecReport`].
+/// Runs `labels.len()` tasks as real jobs on the work-stealing pool under
+/// the supervision policy `cfg` and the fault plan `plan`, with the
+/// recorder, live telemetry, SLO monitor and scene trace attached (see
+/// [`crate::supervise::supervise_observed`] for what each receives), and
+/// returns the measured [`ExecReport`] too.
 ///
 /// `estimates` gives each task's a-priori work estimate for dynamic
 /// chunking (WME counts scaled by [`ESTIMATE_UNITS_PER_WME`], or any
@@ -655,7 +705,7 @@ pub fn execute_observed<T: Send>(
                             }
                             task(invocation)
                         }))
-                        .map_err(crate::supervise::payload_to_string);
+                        .map_err(payload_to_string);
                         if sink.enabled(ObsLevel::Full) {
                             sink.end(
                                 Category::Task,
@@ -704,10 +754,10 @@ pub fn execute_observed<T: Send>(
         }
         drop(tx);
 
-        // Control process: same decision loop as the supervisor; retries
-        // go to the shared overflow queue (cold by definition). Linear
-        // backoff delays the *re-enqueue* on a timer thread — a worker
-        // sleeping through the backoff would stall a pool slot that
+        // Control process: collect attempts, decide retries, fill slots.
+        // Retries go to the shared overflow queue (cold by definition).
+        // Linear backoff delays the *re-enqueue* on a timer thread — a
+        // worker sleeping through the backoff would stall a pool slot that
         // could be running other queued work.
         while remaining > 0 {
             let msg = rx.recv().expect("workers alive while tasks outstanding");
@@ -1050,34 +1100,87 @@ mod tests {
     }
 
     #[test]
+    fn steal_pool_survives_poisoned_locks() {
+        // Regression: a panic while holding a queue mutex used to poison
+        // it, after which every push/pop/close unwrapped a PoisonError and
+        // the control process deadlocked behind a dead queue. Poison the
+        // overflow, a deque and the sync lock in turn: the pool must
+        // recover each guard and keep serving jobs.
+        install_quiet_hook();
+        for victim in ["overflow", "deque", "sync"] {
+            let pool = StealPool::new(2);
+            let died = std::thread::scope(|s| {
+                std::thread::Builder::new()
+                    // Worker-name prefix keeps the injected panic out of
+                    // test output.
+                    .name(format!("{WORKER_NAME}-poisoner"))
+                    .spawn_scoped(s, || match victim {
+                        "overflow" => {
+                            let _guard = pool.overflow.lock().unwrap();
+                            panic!("injected: die holding the overflow lock");
+                        }
+                        "deque" => {
+                            let _guard = pool.deques[0].lock().unwrap();
+                            panic!("injected: die holding a deque lock");
+                        }
+                        _ => {
+                            let _guard = pool.sync.lock().unwrap();
+                            panic!("injected: die holding the sync lock");
+                        }
+                    })
+                    .unwrap()
+                    .join()
+            });
+            assert!(died.is_err());
+            let poisoned = match victim {
+                "overflow" => pool.overflow.is_poisoned(),
+                "deque" => pool.deques[0].is_poisoned(),
+                _ => pool.sync.is_poisoned(),
+            };
+            assert!(poisoned, "setup must actually poison the {victim} lock");
+            pool.seed_local(0, (3, 0));
+            pool.push_overflow((7, 2));
+            let mut misses = 0;
+            let mut take = |w| pool.acquire(w, &mut misses).map(|(job, _)| job);
+            assert_eq!(take(0), Some((3, 0)), "{victim}: own deque");
+            assert_eq!(take(1), Some((7, 2)), "{victim}: overflow");
+            pool.close();
+            assert_eq!(take(0), None, "{victim}: closed empty pool still drains");
+        }
+    }
+
+    #[test]
     fn retry_backoff_delays_the_reenqueue_not_a_worker() {
         // Regression: the backoff used to be slept by the worker after
         // popping the retry, stalling a pool slot for the whole delay.
         // Now the control loop delays the re-enqueue, so the backoff is
         // queue time (queued→acquired), not dequeue time
-        // (acquired→started).
+        // (acquired→started) — on the stealing pool and on the central
+        // queue alike.
         let plan = FaultPlan::none().with_task_panic(0, 1);
         let cfg = SupervisorConfig::default()
             .with_retries(1)
             .with_backoff(Duration::from_millis(40));
-        let (slots, report, exec) = execute(&cfg1(), labels(1), &cfg, &plan, |i| i).unwrap();
-        assert_eq!(slots[0], Some(0));
-        assert!(report.outcomes[0].retry_latency >= Duration::from_millis(40));
-        let retry = exec
-            .attempts
-            .iter()
-            .find(|a| a.attempt == 1)
-            .expect("retry attempt recorded");
-        assert!(
-            retry.acquired_s - retry.queued_s >= 0.035,
-            "backoff must surface as queue wait, got {:.4}s",
-            retry.acquired_s - retry.queued_s
-        );
-        assert!(
-            retry.started_s - retry.acquired_s < 0.020,
-            "no worker may sleep through the backoff, got {:.4}s",
-            retry.started_s - retry.acquired_s
-        );
+        for exec_cfg in [cfg1(), ExecConfig::central_queue(3)] {
+            let (slots, report, exec) = execute(&exec_cfg, labels(1), &cfg, &plan, |i| i).unwrap();
+            assert_eq!(slots[0], Some(0));
+            assert!(report.outcomes[0].retry_latency >= Duration::from_millis(40));
+            let retry = exec
+                .attempts
+                .iter()
+                .find(|a| a.attempt == 1)
+                .expect("retry attempt recorded");
+            assert!(
+                retry.acquired_s - retry.queued_s >= 0.035,
+                "{exec_cfg:?}: backoff must surface as queue wait, got {:.4}s",
+                retry.acquired_s - retry.queued_s
+            );
+            assert!(
+                retry.started_s - retry.acquired_s < 0.020,
+                "{exec_cfg:?}: no worker may sleep through the backoff, got {:.4}s",
+                retry.started_s - retry.acquired_s
+            );
+        }
     }
 
     #[test]

@@ -25,6 +25,9 @@
 //!   (control process + worker task processes around a shared queue,
 //!   verified equivalent to the sequential run) and simulated speed-up
 //!   curves at arbitrary processor counts (Figures 6 and 8);
+//! * [`supervise`](mod@supervise) — the supervision policy (isolated,
+//!   retried, dead-lettered task attempts) over the paper's central task
+//!   queue;
 //! * [`combined`] — TLP × match-parallelism combination and the
 //!   multiplicative-speed-up prediction of Table 9;
 //! * [`attribution`] — the "speedup doctor": Amdahl decomposition from
@@ -36,12 +39,13 @@
 //!   component, or the whole match phase), re-simulated to predict the new
 //!   makespan/critical chain, and ranked into the "optimize this next"
 //!   report behind `spamctl whatif` / `bench_whatif`;
-//! * [`exec`] — the real work-stealing executor ("Multimax on real
-//!   cores"): per-worker Chase–Lev-style deques plus a shared overflow
-//!   queue run the task set as actual threads with cost-model-driven
-//!   dynamic chunking, measuring wall-clock schedules that convert into
-//!   the simulator's result shape for gap attribution and Gantt
-//!   timelines;
+//! * [`exec`] — the crate's one thread pool, the real work-stealing
+//!   executor ("Multimax on real cores"): per-worker Chase–Lev-style
+//!   deques plus a shared overflow queue run the task set as actual
+//!   threads with cost-model-driven dynamic chunking, measuring
+//!   wall-clock schedules that convert into the simulator's result shape
+//!   for gap attribution and Gantt timelines; with no deque capacity the
+//!   overflow queue alone is the paper's central FIFO queue;
 //! * [`baseline`] — the §6 unoptimised-baseline comparison (the 10–20×
 //!   Lisp→C/ParaOPS5 port factor), via the engine's naive-match backend;
 //! * [`recover`] — crash-consistent checkpoints and deterministic replay
@@ -80,13 +84,11 @@ pub use recover::{
     CheckpointConfig, CheckpointStore, RecoveryInfo, RecoveryReport,
 };
 pub use supervise::{
-    supervise, supervise_observed, supervise_traced, supervision_overhead, SupervisionOverhead,
-    TaskAttempt,
+    supervise, supervise_observed, supervision_overhead, SupervisionOverhead, TaskAttempt,
 };
 pub use tlp::{
-    attributed_tlp_curve, run_parallel_lcc, run_parallel_lcc_exec, run_parallel_lcc_live,
-    run_parallel_lcc_scene, run_parallel_lcc_supervised, run_parallel_lcc_traced, run_parallel_rtf,
-    run_parallel_rtf_supervised, simulated_tlp_curve, synchronous_makespan, RtfParallelResult,
+    attributed_tlp_curve, run_parallel_lcc, run_parallel_lcc_exec, run_parallel_lcc_scene,
+    run_parallel_rtf, simulated_tlp_curve, synchronous_makespan, RtfParallelResult,
 };
 pub use trace::{lcc_trace, record_phase_metrics, record_sim_metrics, rtf_trace, PhaseTrace};
 pub use whatif::{

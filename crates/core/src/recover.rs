@@ -34,20 +34,20 @@
 //!   one, the tear means the crash happened before the run loop started,
 //!   so a from-scratch rebuild loses nothing.
 
-use crate::supervise::{supervise_observed, TaskAttempt};
+use crate::exec::ExecConfig;
 use ops5::snapshot::apply_record;
-use ops5::{Value, Wal, WalOp, WalRecord, WorkCounters};
+use ops5::{Value, Wal, WalOp, WalRecord};
 use spam::fragments::FragmentHypothesis;
 use spam::lcc::{
-    decompose, harvest_lcc_unit, lcc_engine, load_unit_wm, restore_lcc_engine, ConsistentRec,
-    LccPhaseResult, LccUnit, LccUnitResult, Level,
+    harvest_lcc_unit, lcc_engine, load_unit_wm, restore_lcc_engine, LccPhaseResult, LccUnit,
+    LccUnitResult, Level,
 };
 use spam::rules::SpamProgram;
 use spam::scene::Scene;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
-use tlp_fault::{FaultPlan, SuperviseError, SupervisorConfig, TaskReport};
+use tlp_fault::{FaultPlan, SuperviseError, SupervisorConfig};
 use tlp_obs::{
     Category, Live, MetricsRegistry, ObsLevel, Recorder, SceneSpan, SloMonitor, SpanSink,
 };
@@ -487,7 +487,7 @@ pub fn run_lcc_unit_checkpointed(
 }
 
 /// Runs the LCC phase in parallel under the checkpoint/recovery protocol:
-/// [`run_parallel_lcc_traced`](crate::tlp::run_parallel_lcc_traced) where a
+/// [`run_parallel_lcc_scene`](crate::tlp::run_parallel_lcc_scene) where a
 /// retried task *resumes from its last checkpoint* instead of starting
 /// over. Returns the phase result plus the recovery accounting.
 ///
@@ -551,20 +551,20 @@ pub fn run_parallel_lcc_recoverable_live(
     slo: Option<&Arc<SloMonitor>>,
     span: Option<&SceneSpan>,
 ) -> Result<(LccPhaseResult, RecoveryReport), SuperviseError> {
-    let units = decompose(scene, fragments, level);
-    let labels: Vec<String> = units.iter().map(|u| u.label()).collect();
     let store = CheckpointStore::new();
     let lh = live.handle();
-    let (slots, report) = supervise_observed(
-        n_workers,
-        labels,
+    let (phase, infos, _) = crate::tlp::lcc_phase(
+        scene,
+        fragments,
+        level,
+        &ExecConfig::central_queue(n_workers),
         cfg,
         plan,
         rec,
         live,
         slo,
         span,
-        |i, (r, info, attempt_s): &(LccUnitResult, RecoveryInfo, f64)| {
+        |(info, attempt_s): &(RecoveryInfo, f64)| {
             if info.attempt > 0 {
                 lh.inc("spam_live_recoveries", 1);
                 lh.observe("spam_live_recovery_latency_seconds", *attempt_s);
@@ -572,88 +572,27 @@ pub fn run_parallel_lcc_recoverable_live(
                     slo.on_recovery();
                 }
             }
-            if let Some(slo) = slo {
-                slo.observe(r.work.seconds_at(spam::phases::MIPS), true);
-            }
-            if let Some(span) = span {
-                span.record_service(
-                    i as u32,
-                    r.work.seconds_at(spam::phases::MIPS),
-                    r.work.match_fraction(),
-                );
-            }
         },
-        |a: TaskAttempt| {
+        |unit, a| {
             let t0 = Instant::now();
             let (r, info) = run_lcc_unit_checkpointed(
-                sp,
-                scene,
-                fragments,
-                &units[a.task],
-                a.task,
-                a.attempt,
-                &store,
-                ckpt,
-                plan,
-                rec,
-                metrics,
+                sp, scene, fragments, unit, a.task, a.attempt, &store, ckpt, plan, rec, metrics,
                 a.trace,
             );
-            (r, info, t0.elapsed().as_secs_f64())
+            (r, (info, t0.elapsed().as_secs_f64()))
         },
     )?;
-
     let mut recovery = RecoveryReport::default();
-    let mut results: Vec<LccUnitResult> = Vec::new();
-    for (r, info, _) in slots.into_iter().flatten() {
-        if info.attempt > 0 {
-            recovery.add(info);
-        }
-        results.push(r);
+    for (info, _) in infos.into_iter().filter(|(info, _)| info.attempt > 0) {
+        recovery.add(info);
     }
-    let phase = merge_lcc_results(level, fragments, results, report);
     Ok((phase, recovery))
-}
-
-/// Merges per-unit results into a phase result (the same accumulation the
-/// plain parallel runner performs).
-fn merge_lcc_results(
-    level: Level,
-    fragments: &Arc<Vec<FragmentHypothesis>>,
-    results: Vec<LccUnitResult>,
-    report: TaskReport,
-) -> LccPhaseResult {
-    let mut work = WorkCounters::default();
-    let mut firings = 0;
-    let mut consistents: Vec<ConsistentRec> = Vec::new();
-    let mut supports = vec![0i64; fragments.len()];
-    for r in &results {
-        work.add(&r.work);
-        firings += r.firings;
-        consistents.extend(r.consistents.iter().copied());
-        for &(f, sup) in &r.supports {
-            supports[f as usize] += sup;
-        }
-    }
-    let mut updated: Vec<FragmentHypothesis> = fragments.as_ref().clone();
-    for f in &mut updated {
-        f.support = supports[f.id as usize];
-    }
-    LccPhaseResult {
-        level,
-        fragments: updated,
-        consistents,
-        units: results,
-        work,
-        firings,
-        report,
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spam::lcc::run_lcc;
+    use spam::lcc::{run_lcc, ConsistentRec};
     use spam::rtf::run_rtf;
     use std::time::Duration;
 
@@ -974,7 +913,7 @@ mod tests {
 
     #[test]
     fn checkpoint_store_is_poison_tolerant() {
-        crate::supervise::install_quiet_hook();
+        crate::exec::install_quiet_hook();
         let store = Arc::new(CheckpointStore::new());
         let s = Arc::clone(&store);
         let _ = std::thread::Builder::new()

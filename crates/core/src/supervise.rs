@@ -17,118 +17,17 @@
 //!   `(task, attempt)` pairs to panic, making the whole retry machinery
 //!   reproducible under test.
 //!
-//! The runner keeps the seed architecture: the calling thread is the
-//! control process; `n` worker threads drain a shared closeable queue;
-//! results stream back over a channel. Retry decisions are made by the
-//! control process, which pushes the repeat attempt back onto the queue.
+//! The runner keeps the paper's architecture: the calling thread is the
+//! control process, `n` worker threads drain one central FIFO task queue,
+//! and the control process pushes each retry onto the back of that queue.
+//! The queue is the work-stealing pool ([`crate::exec`]) in its
+//! [`ExecConfig::central_queue`] configuration, so both schedulers share
+//! one worker loop, one control loop and one set of recorder names.
 
-use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex, Once, PoisonError};
-use std::time::{Duration, Instant};
-use tlp_fault::{FaultPlan, SuperviseError, SupervisorConfig, TaskOutcome, TaskReport, TaskStatus};
-use tlp_obs::{
-    series_key, Category, Live, ObsLevel, Recorder, SceneSpan, SloMonitor, SpanId, SpanKind,
-    SpanRecord, SpanSink,
-};
-
-/// Name prefix of supervised worker threads; the quiet panic hook uses it
-/// to keep injected/caught panics out of test output. Shared with the
-/// work-stealing executor (`crate::exec`), whose workers take the same
-/// prefix so one hook covers both runners.
-pub(crate) const WORKER_NAME: &str = "psm-task";
-
-/// Installs (once) a panic hook that suppresses default printing for
-/// panics on supervised worker threads — those panics are caught and
-/// reported through the [`TaskReport`], so the default stderr dump is
-/// noise. Other threads keep the previous hook behaviour.
-pub(crate) fn install_quiet_hook() {
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let suppress = std::thread::current()
-                .name()
-                .is_some_and(|n| n.starts_with(WORKER_NAME));
-            if !suppress {
-                prev(info);
-            }
-        }));
-    });
-}
-
-pub(crate) fn payload_to_string(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic with non-string payload".to_string()
-    }
-}
-
-/// A closeable multi-producer work queue of `(task, attempt)` jobs.
-///
-/// Queue state is a plain `(jobs, closed)` pair — no invariant can be left
-/// half-updated by a panicking holder — so every lock acquisition recovers
-/// from poisoning with [`PoisonError::into_inner`] instead of unwrapping.
-/// Before this, a panic *outside* `catch_unwind` while holding the lock
-/// (e.g. an allocation failure, or a chaos fault injected in the push path)
-/// poisoned the mutex and every subsequent `push`/`pop` panicked in turn,
-/// deadlocking the control process behind a dead queue.
-struct JobQueue {
-    state: Mutex<(VecDeque<(usize, u32)>, bool)>,
-    cv: Condvar,
-}
-
-impl JobQueue {
-    fn new(n_tasks: usize) -> JobQueue {
-        JobQueue {
-            state: Mutex::new(((0..n_tasks).map(|i| (i, 0)).collect(), false)),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, (VecDeque<(usize, u32)>, bool)> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn push(&self, job: (usize, u32)) {
-        let mut st = self.lock();
-        st.0.push_back(job);
-        drop(st);
-        self.cv.notify_one();
-    }
-
-    fn close(&self) {
-        self.lock().1 = true;
-        self.cv.notify_all();
-    }
-
-    /// Blocks for the next job; `None` once the queue is closed and empty.
-    fn pop(&self) -> Option<(usize, u32)> {
-        let mut st = self.lock();
-        loop {
-            if let Some(job) = st.0.pop_front() {
-                return Some(job);
-            }
-            if st.1 {
-                return None;
-            }
-            st = self.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-}
-
-struct AttemptMsg<T> {
-    task: usize,
-    attempt: u32,
-    result: Result<T, String>,
-    /// When the attempt began executing on a worker (after any backoff).
-    started: Instant,
-    elapsed: Duration,
-}
+use crate::exec::{execute_observed, ExecConfig};
+use std::sync::Arc;
+use tlp_fault::{FaultPlan, SuperviseError, SupervisorConfig, TaskReport};
+use tlp_obs::{Live, Recorder, SceneSpan, SloMonitor, SpanSink};
 
 /// One scheduled execution of a task, handed to the task closure. Carries
 /// the structural coordinates the supervisor knows — which task, which
@@ -143,14 +42,6 @@ pub struct TaskAttempt {
     pub attempt: u32,
     /// Aux-span sink parented under this attempt's span, when tracing.
     pub trace: Option<SpanSink>,
-}
-
-/// Why the last attempt of a task failed (drives the final dead-letter
-/// status).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum FailKind {
-    Panic,
-    Deadline,
 }
 
 /// Runs `labels.len()` tasks on `n_workers` supervised worker threads.
@@ -171,32 +62,12 @@ pub fn supervise<T: Send>(
     plan: &FaultPlan,
     task: impl Fn(usize) -> T + Sync,
 ) -> Result<(Vec<Option<T>>, TaskReport), SuperviseError> {
-    supervise_traced(n_workers, labels, cfg, plan, &Recorder::off(), task)
-}
-
-/// [`supervise`] with a flight recorder attached.
-///
-/// Every worker thread registers its own [`tlp_obs::ThreadSink`]; the
-/// control process registers a `supervisor` sink. At `Summary` level the
-/// phase is one span; at `Full` level each attempt is a `task.exec` span on
-/// its worker's track and every supervisor decision (retry, deadline
-/// rejection, dead-letter, completion) is an instant event. Work-unit
-/// accounting never flows through the recorder, so results are identical at
-/// every level.
-pub fn supervise_traced<T: Send>(
-    n_workers: usize,
-    labels: Vec<String>,
-    cfg: &SupervisorConfig,
-    plan: &FaultPlan,
-    rec: &Arc<Recorder>,
-    task: impl Fn(usize) -> T + Sync,
-) -> Result<(Vec<Option<T>>, TaskReport), SuperviseError> {
     supervise_observed(
         n_workers,
         labels,
         cfg,
         plan,
-        rec,
+        &Recorder::off(),
         &Live::off(),
         None,
         None,
@@ -205,10 +76,20 @@ pub fn supervise_traced<T: Send>(
     )
 }
 
-/// [`supervise_traced`] with live telemetry attached.
+/// [`supervise`] with the flight recorder, live telemetry, an SLO monitor
+/// and a scene trace attached.
 ///
-/// When `live` is enabled the supervisor publishes its runtime health into
-/// the sliding-window registry while the phase runs:
+/// **Recorder.** Every worker thread registers its own
+/// [`tlp_obs::ThreadSink`]; the control process registers an `executor`
+/// sink. At `Summary` level the phase is one `exec.phase` span; at `Full`
+/// level each queued task is an `exec.overflow` instant, each attempt is
+/// a `task.exec` span on its worker's track, and every supervisor
+/// decision (retry, deadline rejection, dead-letter, completion) is an
+/// instant event.
+///
+/// **Live telemetry.** When `live` is enabled the supervisor publishes
+/// its runtime health into the sliding-window registry while the phase
+/// runs:
 ///
 /// * `spam_live_tasks_completed` / `spam_live_task_retries` /
 ///   `spam_live_dead_letters` — control-process counters mirroring every
@@ -218,8 +99,9 @@ pub fn supervise_traced<T: Send>(
 /// * `spam_live_queue_depth` — gauge of tasks still outstanding
 ///   (queued or in flight);
 /// * `spam_live_worker_busy_us{worker="w"}` /
-///   `spam_live_worker_tasks{worker="w"}` — per-worker busy time and
-///   attempt counts, emitted from each worker's own shard.
+///   `spam_live_worker_tasks{worker="w"}` /
+///   `spam_live_worker_overflow{worker="w"}` — per-worker busy time,
+///   attempt counts and queue takes, emitted from each worker's own shard.
 ///
 /// Logical time advances one epoch per *terminal* task (success or dead
 /// letter), so window widths read as "the last N finished tasks". When an
@@ -229,21 +111,19 @@ pub fn supervise_traced<T: Send>(
 ///
 /// `on_complete` runs on the control thread once per successful task,
 /// before the epoch advances — callers mirror task results (work counters,
-/// SLO latency observations) into `live` from there. With `live` disabled
-/// every emit is a single branch and behaviour is identical to
-/// [`supervise_traced`].
+/// SLO latency observations) into `live` from there.
 ///
-/// When `scene` is an enabled [`SceneSpan`], the supervisor propagates its
-/// trace context through every scheduling decision: each attempt becomes a
-/// `task.exec` span under the scene root (recorded by the worker that ran
-/// it, so worker hops are visible), retries and dead letters become marker
-/// spans recorded by the control thread, and the task closure receives a
-/// [`SpanSink`] parented under the attempt span for engine/recovery
-/// emissions. Span ids are derived from `(trace, task, attempt)`, so both
-/// sides of the channel agree on them without coordination. The closure
-/// now receives a [`TaskAttempt`] rather than a bare index — the attempt
-/// number rides along, which is what the recovery runner needs to decide
-/// whether to restore from a checkpoint.
+/// **Scene trace.** When `scene` is an enabled [`SceneSpan`], each attempt
+/// becomes a `task.exec` span under the scene root (recorded by the worker
+/// that ran it, so worker hops are visible), retries and dead letters
+/// become marker spans recorded by the control thread, and the task
+/// closure receives a [`SpanSink`] parented under the attempt span for
+/// engine/recovery emissions. Span ids are derived from
+/// `(trace, task, attempt)`, so both sides of the channel agree on them
+/// without coordination.
+///
+/// Work-unit accounting never flows through any of these, so results are
+/// identical at every setting.
 #[allow(clippy::too_many_arguments)]
 pub fn supervise_observed<T: Send>(
     n_workers: usize,
@@ -257,346 +137,21 @@ pub fn supervise_observed<T: Send>(
     on_complete: impl Fn(usize, &T),
     task: impl Fn(TaskAttempt) -> T + Sync,
 ) -> Result<(Vec<Option<T>>, TaskReport), SuperviseError> {
-    if n_workers == 0 {
-        return Err(SuperviseError::NoWorkers);
-    }
-    // A disabled scene handle records nothing; drop it so the hot path
-    // sees one branch.
-    let scene = scene.filter(|sc| sc.enabled());
-    install_quiet_hook();
-    let phase_start = Instant::now();
-    let n_tasks = labels.len();
-    let mut slots: Vec<Option<T>> = (0..n_tasks).map(|_| None).collect();
-    let mut outcomes: Vec<TaskOutcome> = labels
-        .into_iter()
-        .enumerate()
-        .map(|(task, label)| TaskOutcome {
-            task,
-            label,
-            status: TaskStatus::Ok,
-            attempts: 0,
-            elapsed: Duration::ZERO,
-            queue_wait: Duration::ZERO,
-            retry_latency: Duration::ZERO,
-            error: None,
-        })
-        .collect();
-    if n_tasks == 0 {
-        return Ok((slots, TaskReport { outcomes }));
-    }
-
-    let queue = JobQueue::new(n_tasks);
-    let (tx, rx) = mpsc::channel::<AttemptMsg<T>>();
-    let mut last_fail: Vec<Option<FailKind>> = vec![None; n_tasks];
-    let mut first_start: Vec<Option<Instant>> = vec![None; n_tasks];
-    let mut remaining = n_tasks;
-
-    let mut ctl = rec.sink("supervisor");
-    if ctl.enabled(ObsLevel::Summary) {
-        ctl.begin(
-            Category::Supervisor,
-            "supervise.phase",
-            vec![
-                ("tasks", (n_tasks as u64).into()),
-                ("workers", (n_workers as u64).into()),
-            ],
-        );
-        if ctl.enabled(ObsLevel::Full) {
-            for i in 0..n_tasks {
-                ctl.instant(
-                    Category::Task,
-                    "task.enqueue",
-                    vec![("task", (i as u64).into())],
-                );
-            }
-        }
-    }
-
-    let ctl_live = live.handle();
-    std::thread::scope(|s| {
-        for w in 0..n_workers.min(n_tasks) {
-            let tx = tx.clone();
-            let queue = &queue;
-            let task = &task;
-            let wlive = Arc::clone(live);
-            std::thread::Builder::new()
-                .name(format!("{WORKER_NAME}-{w}"))
-                .spawn_scoped(s, move || {
-                    // Each worker owns a private sink; it flushes on drop
-                    // when the queue closes and the thread exits.
-                    let mut sink = rec.sink(format!("{WORKER_NAME}-{w}"));
-                    if let Some(sc) = scene {
-                        // Tag recorder events with the scene's trace id so
-                        // flight-recorder output joins against the retained
-                        // span trees.
-                        sink.set_trace(sc.trace_id());
-                    }
-                    // And a private live shard, with its series keys built
-                    // once — the per-attempt emits must not allocate.
-                    let wh = wlive.handle();
-                    let worker = w.to_string();
-                    let busy_key = series_key("spam_live_worker_busy_us", &[("worker", &worker)]);
-                    let tasks_key = series_key("spam_live_worker_tasks", &[("worker", &worker)]);
-                    while let Some((i, attempt)) = queue.pop() {
-                        if attempt > 0 {
-                            // Linear backoff before a retry attempt.
-                            std::thread::sleep(cfg.backoff * attempt);
-                        }
-                        if sink.enabled(ObsLevel::Full) {
-                            sink.begin(
-                                Category::Task,
-                                format!("task.exec t{i}"),
-                                vec![
-                                    ("task", (i as u64).into()),
-                                    ("attempt", (attempt as u64).into()),
-                                ],
-                            );
-                        }
-                        // Derive this attempt's span id up front: the sink
-                        // handed to the task parents engine/recovery spans
-                        // under it, and the span itself is recorded below
-                        // once the outcome is known.
-                        let attempt_span = scene.map(|sc| {
-                            (
-                                SpanId::derive(
-                                    sc.trace_id(),
-                                    "task.exec",
-                                    i as u64,
-                                    u64::from(attempt),
-                                ),
-                                sc.now_us(),
-                            )
-                        });
-                        let invocation = TaskAttempt {
-                            task: i,
-                            attempt,
-                            trace: scene
-                                .zip(attempt_span)
-                                .map(|(sc, (span, _))| sc.sink_under(span)),
-                        };
-                        let start = Instant::now();
-                        let result = catch_unwind(AssertUnwindSafe(|| {
-                            if plan.task_panics(i, attempt) {
-                                panic!("injected fault: task {i} attempt {attempt}");
-                            }
-                            task(invocation)
-                        }))
-                        .map_err(payload_to_string);
-                        if sink.enabled(ObsLevel::Full) {
-                            sink.end(
-                                Category::Task,
-                                format!("task.exec t{i}"),
-                                vec![("ok", u64::from(result.is_ok()).into())],
-                            );
-                        }
-                        let elapsed = start.elapsed();
-                        if let (Some(sc), Some((span, start_us))) = (scene, attempt_span) {
-                            sc.record_span(SpanRecord {
-                                id: span,
-                                parent: Some(sc.root()),
-                                kind: SpanKind::Task,
-                                name: format!("task.exec t{i} a{attempt}"),
-                                worker: format!("{WORKER_NAME}-{w}"),
-                                start_us,
-                                end_us: sc.now_us(),
-                                error: result.as_ref().err().cloned(),
-                            });
-                        }
-                        if wh.enabled() {
-                            wh.inc(&busy_key, elapsed.as_micros() as u64);
-                            wh.inc(&tasks_key, 1);
-                        }
-                        let msg = AttemptMsg {
-                            task: i,
-                            attempt,
-                            result,
-                            started: start,
-                            elapsed,
-                        };
-                        if tx.send(msg).is_err() {
-                            break;
-                        }
-                    }
-                })
-                .expect("spawn supervised worker");
-        }
-        drop(tx);
-
-        // Control process: collect attempts, decide retries, fill slots.
-        while remaining > 0 {
-            let msg = rx.recv().expect("workers alive while tasks outstanding");
-            let i = msg.task;
-            if msg.attempt == 0 {
-                first_start[i] = Some(msg.started);
-                outcomes[i].queue_wait = msg.started.duration_since(phase_start);
-            } else if let Some(first) = first_start[i] {
-                outcomes[i].retry_latency = msg.started.duration_since(first);
-            }
-            let o = &mut outcomes[i];
-            o.attempts = msg.attempt + 1;
-            o.elapsed = msg.elapsed;
-            let failure = match msg.result {
-                Err(err) => {
-                    last_fail[i] = Some(FailKind::Panic);
-                    Some(err)
-                }
-                Ok(value) => match cfg.deadline {
-                    Some(d) if msg.elapsed > d => {
-                        last_fail[i] = Some(FailKind::Deadline);
-                        if ctl.enabled(ObsLevel::Full) {
-                            ctl.instant(
-                                Category::Supervisor,
-                                "task.deadline",
-                                vec![
-                                    ("task", (i as u64).into()),
-                                    ("attempt", (msg.attempt as u64).into()),
-                                    ("elapsed_s", msg.elapsed.as_secs_f64().into()),
-                                ],
-                            );
-                        }
-                        Some(format!(
-                            "deadline exceeded: {:.1?} > {:.1?}; result discarded",
-                            msg.elapsed, d
-                        ))
-                    }
-                    _ => {
-                        if ctl_live.enabled() {
-                            ctl_live.inc("spam_live_tasks_completed", 1);
-                            ctl_live
-                                .observe(tlp_obs::TASK_LATENCY_FAMILY, msg.elapsed.as_secs_f64());
-                        }
-                        // Mirror the task's result before its epoch closes,
-                        // so caller-side series land in the window of the
-                        // task that produced them.
-                        on_complete(i, &value);
-                        let epoch = live.advance_epoch();
-                        if let Some(slo) = slo {
-                            slo.advance(epoch);
-                        }
-                        slots[i] = Some(value);
-                        o.status = if msg.attempt == 0 {
-                            TaskStatus::Ok
-                        } else {
-                            TaskStatus::Retried(msg.attempt)
-                        };
-                        o.error = None;
-                        remaining -= 1;
-                        if ctl.enabled(ObsLevel::Full) {
-                            ctl.instant(
-                                Category::Task,
-                                "task.complete",
-                                vec![
-                                    ("task", (i as u64).into()),
-                                    ("attempts", ((msg.attempt + 1) as u64).into()),
-                                ],
-                            );
-                        }
-                        None
-                    }
-                },
-            };
-            if let Some(err) = failure {
-                o.error = Some(err);
-                if msg.attempt < cfg.max_retries {
-                    queue.push((i, msg.attempt + 1));
-                    ctl_live.inc("spam_live_task_retries", 1);
-                    if let Some(sc) = scene {
-                        sc.tracing().note_retry(sc.trace_id());
-                        let now = sc.now_us();
-                        sc.record_span(SpanRecord {
-                            id: SpanId::derive(
-                                sc.trace_id(),
-                                "supervisor.retry",
-                                i as u64,
-                                u64::from(msg.attempt),
-                            ),
-                            parent: Some(sc.root()),
-                            kind: SpanKind::Aux,
-                            name: format!("supervisor.retry t{i} a{}", msg.attempt + 1),
-                            worker: "psm-control".into(),
-                            start_us: now,
-                            end_us: now,
-                            error: None,
-                        });
-                    }
-                    if ctl.enabled(ObsLevel::Full) {
-                        ctl.instant(
-                            Category::Supervisor,
-                            "supervisor.retry",
-                            vec![
-                                ("task", (i as u64).into()),
-                                ("next_attempt", ((msg.attempt + 1) as u64).into()),
-                            ],
-                        );
-                    }
-                } else {
-                    o.status = match last_fail[i] {
-                        Some(FailKind::Deadline) => TaskStatus::TimedOut,
-                        _ => TaskStatus::Panicked,
-                    };
-                    ctl_live.inc("spam_live_dead_letters", 1);
-                    if let Some(sc) = scene {
-                        sc.tracing().note_dead_letter(sc.trace_id());
-                        let now = sc.now_us();
-                        sc.record_span(SpanRecord {
-                            id: SpanId::derive(
-                                sc.trace_id(),
-                                "supervisor.dead_letter",
-                                i as u64,
-                                u64::from(msg.attempt),
-                            ),
-                            parent: Some(sc.root()),
-                            kind: SpanKind::Aux,
-                            name: format!("supervisor.dead_letter t{i}"),
-                            worker: "psm-control".into(),
-                            start_us: now,
-                            end_us: now,
-                            error: o.error.clone(),
-                        });
-                    }
-                    if let Some(slo) = slo {
-                        // A dead letter is a breach: the work never
-                        // completed, so it burns error budget.
-                        slo.observe(msg.elapsed.as_secs_f64(), false);
-                    }
-                    let epoch = live.advance_epoch();
-                    if let Some(slo) = slo {
-                        slo.advance(epoch);
-                    }
-                    remaining -= 1;
-                    if ctl.enabled(ObsLevel::Full) {
-                        ctl.instant(
-                            Category::Supervisor,
-                            "supervisor.dead_letter",
-                            vec![
-                                ("task", (i as u64).into()),
-                                ("attempts", ((msg.attempt + 1) as u64).into()),
-                            ],
-                        );
-                    }
-                }
-            }
-            ctl_live.gauge("spam_live_queue_depth", remaining as f64);
-        }
-        queue.close();
-    });
-
-    if ctl.enabled(ObsLevel::Summary) {
-        let dead = outcomes.iter().filter(|o| !o.status.succeeded()).count();
-        let retries: u32 = outcomes.iter().map(|o| o.attempts.saturating_sub(1)).sum();
-        ctl.end(
-            Category::Supervisor,
-            "supervise.phase",
-            vec![
-                ("ok", ((n_tasks - dead) as u64).into()),
-                ("retries", (retries as u64).into()),
-                ("dead_letters", (dead as u64).into()),
-            ],
-        );
-    }
-    ctl.flush();
-
-    Ok((slots, TaskReport { outcomes }))
+    let exec = ExecConfig::central_queue(n_workers);
+    execute_observed(
+        &exec,
+        labels,
+        &[],
+        cfg,
+        plan,
+        rec,
+        live,
+        slo,
+        scene,
+        on_complete,
+        task,
+    )
+    .map(|(slots, report, _)| (slots, report))
 }
 
 /// Aggregate supervision overhead of one supervised phase — the
@@ -640,6 +195,8 @@ pub fn supervision_overhead(report: &TaskReport) -> SupervisionOverhead {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
+    use tlp_fault::TaskStatus;
 
     fn labels(n: usize) -> Vec<String> {
         (0..n).map(|i| format!("t{i}")).collect()
@@ -886,7 +443,7 @@ mod tests {
 
     #[test]
     fn traced_supervision_emits_phase_and_task_events() {
-        use tlp_obs::EventKind;
+        use tlp_obs::{EventKind, ObsLevel};
         let rec = Recorder::new(ObsLevel::Full);
         let plan = FaultPlan::none()
             .with_task_panic(1, 1)
@@ -894,13 +451,26 @@ mod tests {
         let cfg = SupervisorConfig::default()
             .with_retries(1)
             .with_backoff(Duration::from_millis(1));
-        let (slots, report) = supervise_traced(2, labels(4), &cfg, &plan, &rec, |i| i).unwrap();
+        let (slots, report) = supervise_observed(
+            2,
+            labels(4),
+            &cfg,
+            &plan,
+            &rec,
+            &Live::off(),
+            None,
+            None,
+            |_, _| {},
+            |a: TaskAttempt| a.task,
+        )
+        .unwrap();
         assert_eq!(slots.iter().flatten().count(), 3);
         assert_eq!(report.dead_letters().len(), 1);
         let events = rec.events();
         let names: Vec<&str> = events.iter().map(|e| e.name.as_str()).collect();
-        assert!(names.contains(&"supervise.phase"));
-        assert!(names.contains(&"task.enqueue"));
+        assert!(names.contains(&"exec.phase"));
+        // The central queue: every task is pushed to the shared queue.
+        assert_eq!(names.iter().filter(|n| **n == "exec.overflow").count(), 4);
         assert!(names.contains(&"task.complete"));
         assert!(names.contains(&"supervisor.retry"));
         assert!(names.contains(&"supervisor.dead_letter"));
@@ -917,20 +487,24 @@ mod tests {
         assert_eq!(begins, 6);
         assert_eq!(ends, 6);
         let threads = rec.threads();
-        assert!(threads.iter().any(|t| t == "supervisor"));
-        assert!(threads.iter().any(|t| t.starts_with(WORKER_NAME)));
+        assert!(threads.iter().any(|t| t == "executor"));
+        assert!(threads.iter().any(|t| t.starts_with("psm-task-ws-")));
     }
 
     #[test]
     fn untraced_supervision_records_no_events() {
         let rec = Recorder::off();
-        let (slots, _) = supervise_traced(
+        let (slots, _) = supervise_observed(
             2,
             labels(4),
             &SupervisorConfig::default(),
             &FaultPlan::none(),
             &rec,
-            |i| i,
+            &Live::off(),
+            None,
+            None,
+            |_, _| {},
+            |a: TaskAttempt| a.task,
         )
         .unwrap();
         assert_eq!(slots.iter().flatten().count(), 4);
@@ -938,37 +512,13 @@ mod tests {
     }
 
     #[test]
-    fn job_queue_survives_a_poisoned_lock() {
-        // Regression: a panic while holding the queue mutex used to poison
-        // it, after which every push/pop/close unwrapped a PoisonError and
-        // the control process deadlocked behind a dead queue. The queue
-        // must now recover the guard and keep serving jobs.
-        let queue = Arc::new(JobQueue::new(0));
-        let q = Arc::clone(&queue);
-        let _ = std::thread::Builder::new()
-            // Worker-name prefix keeps the injected panic out of test output.
-            .name(format!("{WORKER_NAME}-poisoner"))
-            .spawn(move || {
-                let _guard = q.state.lock().unwrap();
-                panic!("injected: die while holding the queue lock");
-            })
-            .unwrap()
-            .join();
-        assert!(queue.state.is_poisoned(), "setup must actually poison");
-        queue.push((7, 2));
-        assert_eq!(queue.pop(), Some((7, 2)));
-        queue.close();
-        assert_eq!(queue.pop(), None, "closed empty queue still drains");
-    }
-
-    #[test]
     fn supervision_proceeds_after_queue_poisoning() {
-        // End-to-end flavour of the regression above: a full supervised
-        // phase with retries (which exercises push from the control loop)
-        // must complete even though an earlier holder poisoned the lock.
-        // We cannot reach the private queue of a running phase from here,
-        // so instead verify a phase that retries and dead-letters right
-        // after the unit-level poisoning ran in this process still works.
+        // End-to-end flavour of the pool's poisoned-lock regression
+        // (`exec::tests::steal_pool_survives_poisoned_locks`): a full
+        // supervised phase with retries (which exercises push from the
+        // control loop) must complete. We cannot reach the private queue
+        // of a running phase from here, so instead verify a phase that
+        // retries still works.
         let plan = FaultPlan::none().with_task_panic(1, 1);
         let cfg = SupervisorConfig::default()
             .with_retries(1)

@@ -1,24 +1,25 @@
 //! Task-level parallelism: the SPAM/PSM execution model.
 //!
-//! Two runners:
-//!
 //! * [`run_parallel_lcc`] — the real thing (§5.1): a control process (the
 //!   calling thread) builds the task queue; `n` task processes (threads),
 //!   each a complete independent OPS5 engine, pull tasks and fire
 //!   asynchronously; the control process collects the results. Verified to
 //!   produce exactly the sequential results at any worker count.
+//!   [`run_parallel_lcc_scene`] adds supervision and observability, and
+//!   [`run_parallel_lcc_exec`] swaps the central queue for work stealing;
+//!   all three share one phase body on one thread pool ([`crate::exec`]).
 //! * [`simulated_tlp_curve`] — replays a measured trace on the simulated
-//!   Encore Multimax at 1..=14 task processes (Figure 6 / Figure 8),
-//!   since the container running this reproduction has a single core.
+//!   Encore Multimax at 1..=14 task processes (Figure 6 / Figure 8).
 
 use crate::attribution::GapAttribution;
-use crate::supervise::{supervise, supervise_observed, TaskAttempt};
+use crate::exec::{execute_observed, ExecConfig, ExecReport};
+use crate::supervise::{supervise, TaskAttempt};
 use crate::trace::PhaseTrace;
 use multimax_sim::{simulate, Schedule, SimConfig};
-use ops5::WorkCounters;
 use spam::fragments::FragmentHypothesis;
 use spam::lcc::{
-    decompose, run_lcc_unit, run_lcc_unit_traced, ConsistentRec, LccPhaseResult, Level,
+    decompose, merge_lcc_units, run_lcc_unit, run_lcc_unit_traced, LccPhaseResult, LccUnit,
+    LccUnitResult, Level,
 };
 use spam::rules::SpamProgram;
 use spam::scene::Scene;
@@ -26,7 +27,7 @@ use std::sync::Arc;
 use tlp_fault::{FaultPlan, SuperviseError, SupervisorConfig, TaskReport};
 use tlp_obs::{Live, Recorder, SceneSpan, SloMonitor};
 
-/// Result of a supervised parallel RTF phase: the merged fragments plus the
+/// Result of a parallel RTF phase: the merged fragments plus the
 /// per-batch supervision outcomes.
 #[derive(Clone, Debug)]
 pub struct RtfParallelResult {
@@ -49,7 +50,7 @@ pub fn run_parallel_lcc(
     level: Level,
     n_workers: usize,
 ) -> Result<LccPhaseResult, SuperviseError> {
-    run_parallel_lcc_supervised(
+    run_parallel_lcc_scene(
         sp,
         scene,
         fragments,
@@ -57,98 +58,35 @@ pub fn run_parallel_lcc(
         n_workers,
         &SupervisorConfig::default(),
         &FaultPlan::none(),
-    )
-}
-
-/// [`run_parallel_lcc`] under an explicit supervision policy and fault
-/// plan. The phase completes with partial results: units whose every
-/// attempt failed are dead-lettered in the returned report and contribute
-/// no consistency records or support.
-pub fn run_parallel_lcc_supervised(
-    sp: &SpamProgram,
-    scene: &Arc<Scene>,
-    fragments: &Arc<Vec<FragmentHypothesis>>,
-    level: Level,
-    n_workers: usize,
-    cfg: &SupervisorConfig,
-    plan: &FaultPlan,
-) -> Result<LccPhaseResult, SuperviseError> {
-    run_parallel_lcc_traced(
-        sp,
-        scene,
-        fragments,
-        level,
-        n_workers,
-        cfg,
-        plan,
         &Recorder::off(),
-    )
-}
-
-/// [`run_parallel_lcc_supervised`] with a flight recorder attached: the
-/// supervised phase emits task/supervisor events through `rec` (see
-/// [`crate::supervise::supervise_traced`]). Results are identical at every
-/// recording level.
-#[allow(clippy::too_many_arguments)]
-pub fn run_parallel_lcc_traced(
-    sp: &SpamProgram,
-    scene: &Arc<Scene>,
-    fragments: &Arc<Vec<FragmentHypothesis>>,
-    level: Level,
-    n_workers: usize,
-    cfg: &SupervisorConfig,
-    plan: &FaultPlan,
-    rec: &Arc<Recorder>,
-) -> Result<LccPhaseResult, SuperviseError> {
-    run_parallel_lcc_live(
-        sp,
-        scene,
-        fragments,
-        level,
-        n_workers,
-        cfg,
-        plan,
-        rec,
         &Live::off(),
+        None,
         None,
     )
 }
 
-/// [`run_parallel_lcc_traced`] with live telemetry attached: worker engines
-/// mirror their counters into `live` as they run (see
-/// [`spam::lcc::run_lcc_unit_live`]), the supervisor publishes task/queue
-/// health (see [`crate::supervise::supervise_observed`]), and — when an
-/// [`SloMonitor`] is attached — each completed unit's *simulated* latency
-/// (work units at the paper's 1.5 MIPS) is judged against the scene's
-/// latency objective, keeping the SLO clock deterministic across hosts.
-/// Results are identical at every telemetry setting.
-#[allow(clippy::too_many_arguments)]
-pub fn run_parallel_lcc_live(
-    sp: &SpamProgram,
-    scene: &Arc<Scene>,
-    fragments: &Arc<Vec<FragmentHypothesis>>,
-    level: Level,
-    n_workers: usize,
-    cfg: &SupervisorConfig,
-    plan: &FaultPlan,
-    rec: &Arc<Recorder>,
-    live: &Arc<Live>,
-    slo: Option<&Arc<SloMonitor>>,
-) -> Result<LccPhaseResult, SuperviseError> {
-    run_parallel_lcc_scene(
-        sp, scene, fragments, level, n_workers, cfg, plan, rec, live, slo, None,
-    )
-}
-
-/// [`run_parallel_lcc_live`] inside a scene-scoped trace: when a
-/// [`SceneSpan`] is attached, the supervisor records one `task.exec` span
-/// per attempt (parented under the scene's root), retry and dead-letter
-/// decisions become aux marker spans, worker engines group their
-/// recognize–act cycles into `engine.cycles` aux spans under their attempt,
-/// and each completed unit's simulated service time + match fraction land
-/// in the trace's service table so `spamctl trace` can rebuild the phase's
-/// critical path. Trace-only: results are bit-identical with the span
-/// attached, disabled, or absent.
+/// [`run_parallel_lcc`] under an explicit supervision policy and fault
+/// plan, with observability attached. Results are bit-identical at every
+/// observability setting.
+///
+/// * **Partial results.** Units whose every attempt failed are
+///   dead-lettered in the returned report and contribute no consistency
+///   records or support.
+/// * **Recorder.** The phase emits task/supervisor events through `rec`
+///   (see [`crate::supervise::supervise_observed`]).
+/// * **Live telemetry.** Worker engines mirror their counters into `live`
+///   as they run (see [`spam::lcc::run_lcc_unit_live`]), the supervisor
+///   publishes task/queue health, and — when an [`SloMonitor`] is
+///   attached — each completed unit's *simulated* latency (work units at
+///   the paper's 1.5 MIPS) is judged against the scene's latency
+///   objective, keeping the SLO clock deterministic across hosts.
+/// * **Scene trace.** When a [`SceneSpan`] is attached, each attempt is a
+///   `task.exec` span under the scene's root, retry and dead-letter
+///   decisions become aux marker spans, worker engines group their
+///   recognize–act cycles into `engine.cycles` aux spans under their
+///   attempt, and each completed unit's simulated service time + match
+///   fraction land in the trace's service table so `spamctl trace` can
+///   rebuild the phase's critical path.
 #[allow(clippy::too_many_arguments)]
 pub fn run_parallel_lcc_scene(
     sp: &SpamProgram,
@@ -163,67 +101,11 @@ pub fn run_parallel_lcc_scene(
     slo: Option<&Arc<SloMonitor>>,
     span: Option<&SceneSpan>,
 ) -> Result<LccPhaseResult, SuperviseError> {
-    let units = decompose(scene, fragments, level);
-    let labels: Vec<String> = units.iter().map(|u| u.label()).collect();
-    let (slots, report) = supervise_observed(
-        n_workers,
-        labels,
-        cfg,
-        plan,
-        rec,
-        live,
-        slo,
-        span,
-        |i, r: &spam::lcc::LccUnitResult| {
-            if let Some(slo) = slo {
-                slo.observe(r.work.seconds_at(spam::phases::MIPS), true);
-            }
-            if let Some(span) = span {
-                // The same service model `lcc_trace` feeds the simulator:
-                // work units at the paper's 1.5 MIPS plus the unit's match
-                // fraction, keyed by task index.
-                span.record_service(
-                    i as u32,
-                    r.work.seconds_at(spam::phases::MIPS),
-                    r.work.match_fraction(),
-                );
-            }
-        },
-        |a: TaskAttempt| {
-            if live.is_enabled() || a.trace.is_some() {
-                run_lcc_unit_traced(sp, scene, fragments, &units[a.task], live, a.trace)
-            } else {
-                run_lcc_unit(sp, scene, fragments, &units[a.task])
-            }
-        },
-    )?;
-    let results: Vec<spam::lcc::LccUnitResult> = slots.into_iter().flatten().collect();
-
-    let mut work = WorkCounters::default();
-    let mut firings = 0;
-    let mut consistents: Vec<ConsistentRec> = Vec::new();
-    let mut supports = vec![0i64; fragments.len()];
-    for r in &results {
-        work.add(&r.work);
-        firings += r.firings;
-        consistents.extend(r.consistents.iter().copied());
-        for &(f, sup) in &r.supports {
-            supports[f as usize] += sup;
-        }
-    }
-    let mut updated: Vec<FragmentHypothesis> = fragments.as_ref().clone();
-    for f in &mut updated {
-        f.support = supports[f.id as usize];
-    }
-    Ok(LccPhaseResult {
-        level,
-        fragments: updated,
-        consistents,
-        units: results,
-        work,
-        firings,
-        report,
-    })
+    let exec = ExecConfig::central_queue(n_workers);
+    run_parallel_lcc_exec(
+        sp, scene, fragments, level, &exec, cfg, plan, rec, live, slo, span,
+    )
+    .map(|(phase, _)| phase)
 }
 
 /// A-priori work estimate for one LCC unit, in cost-model units, used by
@@ -231,8 +113,7 @@ pub fn run_parallel_lcc_scene(
 /// fragment of their kind (the level-4 "big task"); finer levels shrink
 /// toward a single candidate pair. The absolute scale does not matter —
 /// only the ratios steer chunk boundaries.
-fn unit_estimate(unit: &spam::lcc::LccUnit, fragments: &[FragmentHypothesis]) -> u64 {
-    use spam::lcc::LccUnit;
+fn unit_estimate(unit: &LccUnit, fragments: &[FragmentHypothesis]) -> u64 {
     let wmes = match unit {
         LccUnit::Class(kind) => fragments.iter().filter(|f| f.kind == *kind).count() as u64 + 1,
         LccUnit::Object(_) => 4,
@@ -242,34 +123,80 @@ fn unit_estimate(unit: &spam::lcc::LccUnit, fragments: &[FragmentHypothesis]) ->
     wmes * crate::exec::ESTIMATE_UNITS_PER_WME
 }
 
-/// Runs the LCC phase on the **real work-stealing executor**
-/// ([`crate::exec`]) instead of the central shared queue: per-worker
-/// deques seeded with cost-model-sized chunks of units, idle workers
-/// stealing from victims, every observability hook of
-/// [`run_parallel_lcc_scene`] attached identically. Returns the merged
-/// phase result — bit-identical to the sequential and central-queue runs,
-/// because results merge in unit order — plus the measured
-/// [`crate::exec::ExecReport`] (the wall-clock schedule, per-worker
-/// utilization and steal counters; convertible to a simulator result for
-/// gap attribution).
+/// Runs the LCC phase on the **real thread pool** ([`crate::exec`]) under
+/// `exec` — with [`ExecConfig::new`], per-worker deques seeded with
+/// cost-model-sized chunks of units and idle workers stealing from
+/// victims; with [`ExecConfig::central_queue`], the paper's central queue
+/// — every observability hook of [`run_parallel_lcc_scene`] attached
+/// identically. Returns the merged phase result — bit-identical to the
+/// sequential run under either configuration, because results merge in
+/// unit order — plus the measured [`ExecReport`] (the wall-clock
+/// schedule, per-worker utilization and steal counters; convertible to a
+/// simulator result for gap attribution).
 #[allow(clippy::too_many_arguments)]
 pub fn run_parallel_lcc_exec(
     sp: &SpamProgram,
     scene: &Arc<Scene>,
     fragments: &Arc<Vec<FragmentHypothesis>>,
     level: Level,
-    exec: &crate::exec::ExecConfig,
+    exec: &ExecConfig,
     cfg: &SupervisorConfig,
     plan: &FaultPlan,
     rec: &Arc<Recorder>,
     live: &Arc<Live>,
     slo: Option<&Arc<SloMonitor>>,
     span: Option<&SceneSpan>,
-) -> Result<(LccPhaseResult, crate::exec::ExecReport), SuperviseError> {
+) -> Result<(LccPhaseResult, ExecReport), SuperviseError> {
+    let (phase, _, measured) = lcc_phase(
+        scene,
+        fragments,
+        level,
+        exec,
+        cfg,
+        plan,
+        rec,
+        live,
+        slo,
+        span,
+        |_| {},
+        |unit, a| {
+            let r = if live.is_enabled() || a.trace.is_some() {
+                run_lcc_unit_traced(sp, scene, fragments, unit, live, a.trace)
+            } else {
+                run_lcc_unit(sp, scene, fragments, unit)
+            };
+            (r, ())
+        },
+    )?;
+    Ok((phase, measured))
+}
+
+/// The one LCC phase body every parallel runner shares: decomposes the
+/// phase at `level`, runs `unit` for each task on the pool under `exec`,
+/// and merges the surviving results ([`merge_lcc_units`]). `unit` returns
+/// the task's result plus a caller-side extra `X`; for each completed
+/// task `on_complete` sees the extra, then the task's simulated latency
+/// goes to the SLO monitor and its service time to the scene trace. The
+/// extras of the completed tasks come back in task order.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn lcc_phase<X: Send>(
+    scene: &Arc<Scene>,
+    fragments: &Arc<Vec<FragmentHypothesis>>,
+    level: Level,
+    exec: &ExecConfig,
+    cfg: &SupervisorConfig,
+    plan: &FaultPlan,
+    rec: &Arc<Recorder>,
+    live: &Arc<Live>,
+    slo: Option<&Arc<SloMonitor>>,
+    span: Option<&SceneSpan>,
+    on_complete: impl Fn(&X),
+    unit: impl Fn(&LccUnit, TaskAttempt) -> (LccUnitResult, X) + Sync,
+) -> Result<(LccPhaseResult, Vec<X>, ExecReport), SuperviseError> {
     let units = decompose(scene, fragments, level);
     let labels: Vec<String> = units.iter().map(|u| u.label()).collect();
     let estimates: Vec<u64> = units.iter().map(|u| unit_estimate(u, fragments)).collect();
-    let (slots, report, measured) = crate::exec::execute_observed(
+    let (slots, report, measured) = execute_observed(
         exec,
         labels,
         &estimates,
@@ -279,92 +206,42 @@ pub fn run_parallel_lcc_exec(
         live,
         slo,
         span,
-        |i, r: &spam::lcc::LccUnitResult| {
+        |i, (r, x): &(LccUnitResult, X)| {
+            on_complete(x);
+            let service_s = r.work.seconds_at(spam::phases::MIPS);
             if let Some(slo) = slo {
-                slo.observe(r.work.seconds_at(spam::phases::MIPS), true);
+                slo.observe(service_s, true);
             }
             if let Some(span) = span {
-                span.record_service(
-                    i as u32,
-                    r.work.seconds_at(spam::phases::MIPS),
-                    r.work.match_fraction(),
-                );
+                // The same service model `lcc_trace` feeds the simulator:
+                // work units at the paper's 1.5 MIPS plus the unit's match
+                // fraction, keyed by task index.
+                span.record_service(i as u32, service_s, r.work.match_fraction());
             }
         },
-        |a: TaskAttempt| {
-            if live.is_enabled() || a.trace.is_some() {
-                run_lcc_unit_traced(sp, scene, fragments, &units[a.task], live, a.trace)
-            } else {
-                run_lcc_unit(sp, scene, fragments, &units[a.task])
-            }
-        },
+        |a: TaskAttempt| unit(&units[a.task], a),
     )?;
-    let results: Vec<spam::lcc::LccUnitResult> = slots.into_iter().flatten().collect();
-
-    let mut work = WorkCounters::default();
-    let mut firings = 0;
-    let mut consistents: Vec<ConsistentRec> = Vec::new();
-    let mut supports = vec![0i64; fragments.len()];
-    for r in &results {
-        work.add(&r.work);
-        firings += r.firings;
-        consistents.extend(r.consistents.iter().copied());
-        for &(f, sup) in &r.supports {
-            supports[f as usize] += sup;
-        }
-    }
-    let mut updated: Vec<FragmentHypothesis> = fragments.as_ref().clone();
-    for f in &mut updated {
-        f.support = supports[f.id as usize];
-    }
-    Ok((
-        LccPhaseResult {
-            level,
-            fragments: updated,
-            consistents,
-            units: results,
-            work,
-            firings,
-            report,
-        },
-        measured,
-    ))
+    let (results, extras): (Vec<_>, Vec<_>) = slots.into_iter().flatten().unzip();
+    let phase = merge_lcc_units(level, fragments, results, report);
+    Ok((phase, extras, measured))
 }
 
 /// Runs the RTF phase with `n_workers` real task-process threads over
 /// region batches (the paper's RTF decomposition: 60–100 tasks, §4).
 /// Fragment ids are renumbered densely in batch order, exactly as the
-/// sequential [`spam::rtf::run_rtf_tasks`] does.
+/// sequential [`spam::rtf::run_rtf_tasks`] does. Unsupervised policy, as
+/// in [`run_parallel_lcc`].
 pub fn run_parallel_rtf(
     sp: &SpamProgram,
     scene: &Arc<Scene>,
     batches: &[Vec<u32>],
     n_workers: usize,
 ) -> Result<RtfParallelResult, SuperviseError> {
-    run_parallel_rtf_supervised(
-        sp,
-        scene,
-        batches,
-        n_workers,
-        &SupervisorConfig::default(),
-        &FaultPlan::none(),
-    )
-}
-
-/// [`run_parallel_rtf`] under an explicit supervision policy and fault
-/// plan.
-pub fn run_parallel_rtf_supervised(
-    sp: &SpamProgram,
-    scene: &Arc<Scene>,
-    batches: &[Vec<u32>],
-    n_workers: usize,
-    cfg: &SupervisorConfig,
-    plan: &FaultPlan,
-) -> Result<RtfParallelResult, SuperviseError> {
     let labels: Vec<String> = (0..batches.len())
         .map(|i| format!("rtf batch {i} ({} regions)", batches[i].len()))
         .collect();
-    let (slots, report) = supervise(n_workers, labels, cfg, plan, |i| {
+    let cfg = SupervisorConfig::default();
+    let (slots, report) = supervise(n_workers, labels, &cfg, &FaultPlan::none(), |i| {
         spam::rtf::run_rtf_task(sp, scene, &batches[i], (i as i64) << 20).fragments
     })?;
     let mut merged = Vec::new();
@@ -450,7 +327,7 @@ pub fn asynchronous_makespan(trace: &PhaseTrace, n: u32) -> f64 {
 mod tests {
     use super::*;
     use crate::trace::lcc_trace;
-    use spam::lcc::run_lcc;
+    use spam::lcc::{run_lcc, ConsistentRec};
     use spam::rtf::run_rtf;
 
     fn setup() -> (SpamProgram, Arc<Scene>, Arc<Vec<FragmentHypothesis>>) {
@@ -555,7 +432,7 @@ mod tests {
         assert!(n_units > 2, "need a few units for the scenario");
         let victim = 1usize;
         let plan = FaultPlan::none().with_task_panic(victim, u32::MAX);
-        let par = run_parallel_lcc_supervised(
+        let par = run_parallel_lcc_scene(
             &sp,
             &scene,
             &frags,
@@ -563,6 +440,10 @@ mod tests {
             3,
             &SupervisorConfig::default(),
             &plan,
+            &Recorder::off(),
+            &Live::off(),
+            None,
+            None,
         )
         .unwrap();
         assert_eq!(par.units.len(), n_units - 1, "partial results expected");
@@ -586,8 +467,23 @@ mod tests {
         let cfg = SupervisorConfig::default()
             .with_retries(1)
             .with_backoff(std::time::Duration::from_millis(1));
-        let run =
-            || run_parallel_lcc_supervised(&sp, &scene, &frags, Level::L3, 3, &cfg, &plan).unwrap();
+        let (rec, live) = (Recorder::off(), Live::off());
+        let run = || {
+            run_parallel_lcc_scene(
+                &sp,
+                &scene,
+                &frags,
+                Level::L3,
+                3,
+                &cfg,
+                &plan,
+                &rec,
+                &live,
+                None,
+                None,
+            )
+            .unwrap()
+        };
         let a = run();
         assert_eq!(a.firings, seq.firings);
         assert_eq!(canonical(&a.consistents), canonical(&seq.consistents));
@@ -619,7 +515,7 @@ mod tests {
         let seq = run_lcc(&sp, &scene, &frags, Level::L3);
         let live = Live::new(8);
         let slo = Arc::new(SloMonitor::new(SloConfig::for_scene("dc"), live.handle()));
-        let par = run_parallel_lcc_live(
+        let par = run_parallel_lcc_scene(
             &sp,
             &scene,
             &frags,
@@ -630,6 +526,7 @@ mod tests {
             &Recorder::off(),
             &live,
             Some(&slo),
+            None,
         )
         .unwrap();
         assert!(par.report.is_clean());

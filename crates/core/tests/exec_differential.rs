@@ -1,8 +1,9 @@
 //! Differential property tests across the three execution substrates:
 //! the sequential engine, the threaded parallel matcher (`paraops5`), and
-//! the real work-stealing executor (`spam_psm::exec`). Over random
+//! the real thread pool (`spam_psm::exec`) in both of its configurations,
+//! work stealing and the paper's central FIFO queue. Over random
 //! programs, working-memory seeds, and worker counts — with and without
-//! seeded kills — all three must produce **identical firing sequences**
+//! seeded kills — all of them must produce **identical firing sequences**
 //! (the recognize–act cycle log) and **bit-identical work totals**; only
 //! the wall-clock schedule is allowed to differ.
 
@@ -120,15 +121,17 @@ proptest! {
         prop_assert_eq!(&par.2, &seq.2, "final WM must be identical");
     }
 
-    /// Many engines, real tasks: the work-stealing executor runs each seed
-    /// group as an independent engine instance; every slot must carry the
-    /// exact sequential result for its group regardless of worker count,
-    /// steal order, or a seeded task kill (retried once).
+    /// Many engines, real tasks: the pool — work stealing or the central
+    /// queue — runs each seed group as an independent engine instance;
+    /// every slot must carry the exact sequential result for its group
+    /// regardless of configuration, worker count, steal order, or a seeded
+    /// task kill (retried once).
     #[test]
     fn real_executor_equals_sequential_per_task(
         prog_idx in 0usize..PROGRAMS.len(),
         seeds in prop::collection::vec((0u8..4, 0i8..5), 2..14),
         workers in 1usize..5,
+        central in 0u8..2,
         (do_kill, kill_sel) in (0u8..2, 0usize..4),
     ) {
         let kill_task = (do_kill == 1).then_some(kill_sel);
@@ -148,8 +151,13 @@ proptest! {
                 .with_retries(1)
                 .with_backoff(std::time::Duration::from_millis(1));
         }
+        let exec = if central == 1 {
+            ExecConfig::central_queue(workers)
+        } else {
+            ExecConfig::new(workers)
+        };
         let (slots, report, measured) = spam_psm::exec::execute_observed(
-            &ExecConfig::new(workers),
+            &exec,
             labels,
             &[],
             &cfg,

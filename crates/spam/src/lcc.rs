@@ -608,44 +608,61 @@ fn run_lcc_inner(
     profile: bool,
 ) -> (LccPhaseResult, Option<MatchProfile>) {
     let units = decompose(scene, fragments, level);
-    let mut results = Vec::with_capacity(units.len());
+    let mut merged: Option<MatchProfile> = None;
+    let results = units
+        .iter()
+        .map(|u| {
+            let (r, prof) = run_lcc_unit_inner(sp, scene, fragments, u, profile);
+            if let Some(p) = prof {
+                match &mut merged {
+                    Some(m) => m.merge(&p),
+                    None => merged = Some(p),
+                }
+            }
+            r
+        })
+        .collect();
+    let report = TaskReport::all_ok(units.iter().map(|u| u.label()));
+    (merge_lcc_units(level, fragments, results, report), merged)
+}
+
+/// Aggregates per-task results into the phase result: work, firings and
+/// consistency records summed in task order, and each fragment's support
+/// set to the total its tasks accumulated. The one merge every LCC runner
+/// (sequential, parallel, recoverable) shares. It tolerates partial
+/// failure: `units` holds only the tasks that completed, `report` names
+/// the dead-lettered rest, and a missing task contributes nothing.
+pub fn merge_lcc_units(
+    level: Level,
+    fragments: &[FragmentHypothesis],
+    units: Vec<LccUnitResult>,
+    report: TaskReport,
+) -> LccPhaseResult {
     let mut work = WorkCounters::default();
     let mut firings = 0;
     let mut consistents = Vec::new();
     let mut supports = vec![0i64; fragments.len()];
-    let mut merged: Option<MatchProfile> = None;
-    for u in &units {
-        let (r, prof) = run_lcc_unit_inner(sp, scene, fragments, u, profile);
-        if let Some(p) = prof {
-            match &mut merged {
-                Some(m) => m.merge(&p),
-                None => merged = Some(p),
-            }
-        }
+    for r in &units {
         work.add(&r.work);
         firings += r.firings;
         consistents.extend(r.consistents.iter().copied());
         for &(f, s) in &r.supports {
             supports[f as usize] += s;
         }
-        results.push(r);
     }
-    let mut updated: Vec<FragmentHypothesis> = fragments.as_ref().clone();
+    let mut updated = fragments.to_vec();
     for f in &mut updated {
         f.support = supports[f.id as usize];
     }
-    (
-        LccPhaseResult {
-            level,
-            fragments: updated,
-            consistents,
-            units: results,
-            work,
-            firings,
-            report: TaskReport::all_ok(units.iter().map(|u| u.label())),
-        },
-        merged,
-    )
+    LccPhaseResult {
+        level,
+        fragments: updated,
+        consistents,
+        units,
+        work,
+        firings,
+        report,
+    }
 }
 
 // The parallel runner executes LCC units under `std::panic::catch_unwind`;

@@ -126,7 +126,7 @@ pub fn run_rtf(sp: &SpamProgram, scene: &Arc<Scene>) -> RtfResult {
 }
 
 /// Runs the complete RTF phase with match-level profiling enabled,
-/// returning the phase [`MatchProfile`] alongside the result. `None` when
+/// returning the phase [`MatchProfile`](ops5::MatchProfile) alongside the result. `None` when
 /// the ops5 `profiler` feature is compiled out. Work counters are
 /// bit-identical to [`run_rtf`] — the profiler only reads them.
 pub fn run_rtf_profiled(
