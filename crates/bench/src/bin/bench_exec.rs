@@ -6,11 +6,15 @@
 //!
 //! The JSON splits into two sections so the CI gate can be precise:
 //!
+//! * `"host"` — the cores and build profile the wall section was measured
+//!   with. A measured speed-up is bounded by min(workers, cores): on a
+//!   one-core host the curve is flat whatever the code does.
+//!   `benchdiff --ignore host` skips it.
 //! * `"wall"` — per-worker-count median wall milliseconds, measured
 //!   speed-up over the one-worker arm, pool utilization, and steal /
 //!   overflow counters. Machine-dependent (steal counts are scheduling
-//!   noise, and this container has one core, so the measured curve is
-//!   flat here); `benchdiff --ignore wall` skips it.
+//!   noise, and the curve depends on the host's cores);
+//!   `benchdiff --ignore wall` skips it.
 //! * `"exec"` — the deterministic shape: task and chunk counts, phase
 //!   firings and total work units, and the simulated Encore speed-up at
 //!   the matched worker counts. Any drift is a code change.
@@ -101,6 +105,13 @@ fn main() -> ExitCode {
     let out = out.unwrap_or_else(|| "BENCH_exec.json".to_string());
 
     header("Work-stealing executor bench (LCC Level 3, DC, real cores)");
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let profile = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
+    println!("host: cores={cores} profile={profile}");
     let p = Prepared::new(spam::datasets::dc());
 
     // Sequential reference: every executor run at every worker count must
@@ -199,6 +210,13 @@ fn main() -> ExitCode {
         ("dataset", Json::str("DC")),
         ("phase", Json::str("LCC Level 3")),
         ("reps", Json::Num(reps as f64)),
+        (
+            "host",
+            Json::obj(vec![
+                ("cores", Json::Num(cores as f64)),
+                ("profile", Json::str(profile)),
+            ]),
+        ),
         ("wall", Json::Arr(wall_rows)),
         (
             "exec",

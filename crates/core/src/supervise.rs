@@ -52,9 +52,12 @@ pub struct TaskAttempt {
 ///
 /// `task` must be pure with respect to retries: attempt `k+1` re-runs the
 /// same closure with the same index. The spam phase runners satisfy this
-/// by building a fresh engine per attempt from shared immutable inputs
-/// (that is also what makes `AssertUnwindSafe` sound here — a poisoned
-/// half-updated state cannot leak across attempts).
+/// by running each attempt on an engine in a freshly built state, from
+/// shared immutable inputs: RTF builds a new engine per attempt, and LCC
+/// resets the engine it checks out of its phase's pool
+/// ([`spam::lcc::LccPool`]). That is also what makes `AssertUnwindSafe`
+/// sound here — an attempt that panics drops its engine during the
+/// unwind, so no half-updated state leaks into a later attempt.
 pub fn supervise<T: Send>(
     n_workers: usize,
     labels: Vec<String>,

@@ -18,8 +18,7 @@ use crate::trace::PhaseTrace;
 use multimax_sim::{simulate, Schedule, SimConfig};
 use spam::fragments::FragmentHypothesis;
 use spam::lcc::{
-    decompose, merge_lcc_units, run_lcc_unit, run_lcc_unit_traced, LccPhaseResult, LccUnit,
-    LccUnitResult, Level,
+    decompose, merge_lcc_units, LccPhaseResult, LccPool, LccUnit, LccUnitResult, Level,
 };
 use spam::rules::SpamProgram;
 use spam::scene::Scene;
@@ -133,6 +132,11 @@ fn unit_estimate(unit: &LccUnit, fragments: &[FragmentHypothesis]) -> u64 {
 /// unit order — plus the measured [`ExecReport`] (the wall-clock
 /// schedule, per-worker utilization and steal counters; convertible to a
 /// simulator result for gap attribution).
+///
+/// Each task runs on an engine checked out of the phase's [`LccPool`]:
+/// like the paper's task processes, a worker keeps one OPS5 instance for
+/// the whole phase, reset between tasks, and tasks receive their working
+/// memory pre-encoded rather than name by name.
 #[allow(clippy::too_many_arguments)]
 pub fn run_parallel_lcc_exec(
     sp: &SpamProgram,
@@ -147,6 +151,8 @@ pub fn run_parallel_lcc_exec(
     slo: Option<&Arc<SloMonitor>>,
     span: Option<&SceneSpan>,
 ) -> Result<(LccPhaseResult, ExecReport), SuperviseError> {
+    let pool = LccPool::new(sp, scene, fragments);
+    let mirror = live.is_enabled().then_some(live);
     let (phase, _, measured) = lcc_phase(
         scene,
         fragments,
@@ -159,14 +165,7 @@ pub fn run_parallel_lcc_exec(
         slo,
         span,
         |_| {},
-        |unit, a| {
-            let r = if live.is_enabled() || a.trace.is_some() {
-                run_lcc_unit_traced(sp, scene, fragments, unit, live, a.trace)
-            } else {
-                run_lcc_unit(sp, scene, fragments, unit)
-            };
-            (r, ())
-        },
+        |unit, a| (pool.run(unit, mirror, a.trace), ()),
     )?;
     Ok((phase, measured))
 }

@@ -79,8 +79,9 @@ pub struct Engine {
     /// Named counters behind stateful external functions (id allocators),
     /// registered via [`Engine::external_counter`]. They are engine state in
     /// disguise — snapshots carry their values so a restored run allocates
-    /// the same ids the uninterrupted run would have.
-    ext_counters: Vec<(String, Arc<AtomicI64>)>,
+    /// the same ids the uninterrupted run would have. Each keeps its
+    /// registration `init`, the value [`Engine::reset`] restores.
+    ext_counters: Vec<(String, i64, Arc<AtomicI64>)>,
     /// Counter values stashed by [`Engine::restore`]; consumed when the
     /// external environment re-registers its counters (restore necessarily
     /// runs before the caller can re-attach external functions).
@@ -95,6 +96,9 @@ pub struct Engine {
     log_snapshot: WorkCounters,
     gensym: u64,
     strategy: Strategy,
+    /// Builtin symbols, resolved once at construction so the
+    /// recognize–act cycle never takes the interner lock for them.
+    builtins: Builtins,
     /// Optional flight-recorder sink. Deterministic work accounting
     /// (`base_work`, the cycle log) never flows through this — it only adds
     /// trace events, so work totals are identical with or without it.
@@ -112,6 +116,12 @@ pub struct Engine {
     /// it only reads the deterministic counters — work totals are identical
     /// with profiling on or off.
     profile: Option<EngineProfile>,
+}
+
+/// Symbols the interpreter itself compares against.
+struct Builtins {
+    genatom: Symbol,
+    crlf: Symbol,
 }
 
 /// Publish the live mirror every this many recognize–act cycles (and once
@@ -253,6 +263,10 @@ impl Engine {
             log_snapshot: WorkCounters::default(),
             gensym: 0,
             strategy,
+            builtins: Builtins {
+                genatom: sym("genatom"),
+                crlf: sym("crlf"),
+            },
             obs: None,
             live: None,
             trace: None,
@@ -296,13 +310,48 @@ impl Engine {
     /// intermediate working memory (and match work) would diverge from the
     /// uninterrupted run's.
     pub fn external_counter(&mut self, name: &str, init: i64) -> Arc<AtomicI64> {
-        if let Some((_, c)) = self.ext_counters.iter().find(|(n, _)| n == name) {
+        if let Some((_, _, c)) = self.ext_counters.iter().find(|(n, _, _)| n == name) {
             return Arc::clone(c);
         }
         let start = self.restored_counters.remove(name).unwrap_or(init);
         let c = Arc::new(AtomicI64::new(start));
-        self.ext_counters.push((name.to_string(), Arc::clone(&c)));
+        self.ext_counters
+            .push((name.to_string(), init, Arc::clone(&c)));
         c
+    }
+
+    /// Returns the engine to the state of a freshly built one, ready for
+    /// another task: working memory, conflict set, time tags, gensym, work
+    /// counters, halt flag and output are cleared; the match backend
+    /// empties its memories but keeps its network; external counters go
+    /// back to their registration `init`; the cycle log, profiler and
+    /// every observer are detached. Registered external functions stay.
+    ///
+    /// A reset engine's [`Engine::snapshot`] bytes equal a new engine's,
+    /// and it replays any input with the same firings, work and output.
+    /// Fails, changing nothing, when the match backend cannot reset (see
+    /// [`Matcher::reset`]); such an engine is not reusable.
+    pub fn reset(&mut self) -> Result<()> {
+        self.matcher.reset()?;
+        self.wm = WmStore::new();
+        self.conflict = ConflictSet::new();
+        self.time = 0;
+        self.base_work = WorkCounters::default();
+        for (_, init, c) in &self.ext_counters {
+            c.store(*init, Ordering::Relaxed);
+        }
+        self.restored_counters.clear();
+        self.halted = false;
+        self.output.clear();
+        self.cycle_log = None;
+        self.log_snapshot = WorkCounters::default();
+        self.gensym = 0;
+        self.strategy = self.program.strategy;
+        self.obs = None;
+        self.live = None;
+        self.trace = None;
+        self.profile = None;
+        Ok(())
     }
 
     /// Overrides the program's conflict-resolution strategy.
@@ -733,7 +782,7 @@ impl Engine {
                     vals[*var as usize] = v;
                 }
                 Action::Write { parts } => {
-                    let crlf = sym("crlf");
+                    let crlf = self.builtins.crlf;
                     let mut first = true;
                     let mut line = String::new();
                     for p in parts {
@@ -832,7 +881,7 @@ impl Engine {
             counters: self
                 .ext_counters
                 .iter()
-                .map(|(n, c)| (n.clone(), c.load(Ordering::Relaxed)))
+                .map(|(n, _, c)| (n.clone(), c.load(Ordering::Relaxed)))
                 .chain(self.restored_counters.iter().map(|(n, v)| (n.clone(), *v)))
                 .collect(),
         }
@@ -910,7 +959,7 @@ impl Engine {
 
     fn call_external(&mut self, name: Symbol, args: &[Value]) -> Result<Value> {
         // Builtin: genatom — a fresh unique symbol.
-        if name == sym("genatom") {
+        if name == self.builtins.genatom {
             self.gensym += 1;
             return Ok(Value::Sym(sym(&format!("g#{}", self.gensym))));
         }

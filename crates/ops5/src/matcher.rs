@@ -14,6 +14,7 @@ use crate::program::Program;
 use crate::rete::compile::CompiledProduction;
 use crate::rete::{MatchEvent, Rete};
 use crate::wme::{WmStore, WmeId};
+use crate::{Error, Result};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -38,6 +39,15 @@ pub trait Matcher: Send {
     /// recorded value so [`crate::Engine::work`] stays identical to an
     /// uninterrupted run. Backends that do not support restore ignore it.
     fn set_work(&mut self, _work: WorkCounters) {}
+    /// Returns the backend to the state it was built in — every memory,
+    /// token, index and dynamic counter emptied, the network kept — so
+    /// [`crate::Engine::reset`] can reuse the engine for another task.
+    /// Backends that cannot do that keep this default, which refuses.
+    fn reset(&mut self) -> Result<()> {
+        Err(Error::Runtime(
+            "this match backend cannot be reset; build a new engine".into(),
+        ))
+    }
     /// A terminal failure inside the match backend (e.g. a parallel pool
     /// that lost workers under a fail-fast policy). The engine checks this
     /// each cycle and stops with `RunOutcome::error` instead of panicking.
@@ -78,6 +88,10 @@ impl Matcher for Rete {
     }
     fn set_work(&mut self, work: WorkCounters) {
         self.work = work;
+    }
+    fn reset(&mut self) -> Result<()> {
+        Rete::reset(self);
+        Ok(())
     }
     fn net_stats(&self) -> crate::profile::NetStats {
         Rete::net_stats(self)

@@ -195,6 +195,22 @@ impl AlphaNetwork {
             .map_or(&[], Vec::as_slice)
     }
 
+    /// Empties every memory and index and zeroes the test memo and the
+    /// hit counter, keeping the memories, tests and index declarations:
+    /// the state [`AlphaNetwork::get_or_create`] left them in.
+    pub fn reset(&mut self) {
+        for mem in &mut self.mems {
+            mem.wmes.clear();
+            for ix in &mut mem.indexes {
+                ix.buckets.clear();
+            }
+        }
+        self.memo.fill((0, false));
+        self.generation = 0;
+        self.shared_test_hits = 0;
+        self.profile = None;
+    }
+
     /// Classifies a new WME into its memories, returning the activated
     /// memory ids and accumulating the match cost in `work_units`.
     pub fn classify_add(&mut self, id: WmeId, wme: &Wme, work_units: &mut u64) -> Vec<AlphaMemId> {

@@ -327,6 +327,32 @@ impl Rete {
         s
     }
 
+    /// Returns the network to its freshly built state: every token, memory
+    /// and index is emptied and the work, chunk and dynamic [`NetStats`]
+    /// counters are zeroed, while the nodes, alpha memories and index
+    /// declarations stay. Token ids restart at zero, so a reset network
+    /// replays any input exactly as a new one does.
+    pub fn reset(&mut self) {
+        self.alpha.reset();
+        for node in &mut self.nodes {
+            node.tokens.clear();
+            node.right_index.clear();
+            node.blocked_by.clear();
+        }
+        self.tokens.clear();
+        self.free.clear();
+        self.wme_tokens.clear();
+        self.events.clear();
+        self.work = WorkCounters::default();
+        self.chunks = 0;
+        self.stats = NetStats {
+            beta_nodes: self.stats.beta_nodes,
+            unshared_beta_nodes: self.stats.unshared_beta_nodes,
+            ..NetStats::default()
+        };
+        self.profile = None;
+    }
+
     /// Drains the pending conflict-set events.
     pub fn drain_events(&mut self) -> Vec<MatchEvent> {
         std::mem::take(&mut self.events)

@@ -7,12 +7,18 @@
 //! The interner is a process-wide, append-only table behind a mutex. That
 //! makes working-memory elements freely transferable between engine
 //! instances — exactly what SPAM/PSM's *working-memory distribution* needs
-//! when the control process hands a task WME to a task process. Interning is
-//! only hit when text is turned into symbols (parse time, scene loading);
-//! the hot match path works on ids.
+//! when the control process hands a task WME to a task process. The lock
+//! is taken only when text becomes a symbol or a symbol becomes text:
+//! parsing, engine and external-function construction (which resolve
+//! their builtin and result symbols once), string-keyed
+//! [`crate::Engine::make_wme`], `genatom`, and display. Matching, firing,
+//! slot-resolved loading ([`crate::Engine::insert_fields`]) and harvesting
+//! work on ids; [`interner_calls`] counts lock acquisitions so tests can
+//! pin that a task's reset → load → run → harvest path takes none.
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// An interned symbol (case-sensitive).
@@ -24,7 +30,18 @@ struct Interner {
     names: Vec<String>,
 }
 
+/// Interner lock acquisitions since process start ([`interner_calls`]).
+static CALLS: AtomicU64 = AtomicU64::new(0);
+
+/// Number of times [`sym`] or [`sym_name`] has taken the interner lock,
+/// process-wide. Relaxed: a diagnostic counter, not a synchronisation
+/// point.
+pub fn interner_calls() -> u64 {
+    CALLS.load(Ordering::Relaxed)
+}
+
 fn interner() -> &'static Mutex<Interner> {
+    CALLS.fetch_add(1, Ordering::Relaxed);
     static INTERNER: OnceLock<Mutex<Interner>> = OnceLock::new();
     INTERNER.get_or_init(|| {
         Mutex::new(Interner {

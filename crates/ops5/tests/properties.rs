@@ -504,3 +504,140 @@ fn rete_beats_naive_at_scale() {
         "expected a large Rete advantage at scale, got {ratio:.2}x"
     );
 }
+
+/// A program for the reset oracle: indexed equality joins, negation,
+/// `modify`/`remove`, `genatom`, `write` and a stateful external counter,
+/// so every piece of state [`Engine::reset`] must clear is exercised.
+const RESET_PROGRAM: &str = "
+    (literalize item kind count)
+    (literalize sum v)
+    (literalize tag id name of)
+    (p fold (item ^kind <k> ^count <a>) (sum ^v <s>)
+       -->
+       (modify 2 ^v (compute <s> + <a>))
+       (remove 1))
+    (p label (sum ^v { <v> > 3 }) -(tag ^of <v>)
+       -->
+       (bind <g>)
+       (make tag ^id (call next-id) ^name <g> ^of <v>)
+       (write tagged <v> (crlf)))
+    (p twin (item ^kind <k> ^count <a>) (item ^kind <k> ^count { <b> > <a> })
+            -(tag ^of <k>)
+       -->
+       (make tag ^id (call next-id) ^name <k> ^of <k>))
+";
+
+/// One step of an engine history.
+#[derive(Clone, Debug)]
+enum HistOp {
+    Item(u8, i8),
+    Sum(i8),
+    Remove(u8),
+    Run(u8),
+}
+
+fn hist_strategy() -> impl Strategy<Value = HistOp> {
+    prop_oneof![
+        4 => (0u8..3, 0i8..4).prop_map(|(k, n)| HistOp::Item(k, n)),
+        1 => (0i8..3).prop_map(HistOp::Sum),
+        2 => (0u8..32).prop_map(HistOp::Remove),
+        2 => (0u8..6).prop_map(HistOp::Run),
+    ]
+}
+
+/// An engine for [`RESET_PROGRAM`] with its `next-id` external wired to a
+/// registered counter, as task engines wire theirs.
+fn reset_engine(
+    program: &Arc<Program>,
+    compiled: &Arc<Vec<ops5::rete::compile::CompiledProduction>>,
+) -> Engine {
+    let mut e = Engine::with_compiled(Arc::clone(program), Arc::clone(compiled));
+    let c = e.external_counter("next-id", 100);
+    e.register_external(
+        "next-id",
+        Arc::new(move |_, eff| {
+            eff.cost = 7;
+            Some(Value::Int(
+                c.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
+            ))
+        }),
+    );
+    e
+}
+
+fn apply_history(e: &mut Engine, ops: &[HistOp]) {
+    for op in ops {
+        match *op {
+            HistOp::Item(k, n) => {
+                let kind = Value::symbol(&format!("k{k}"));
+                e.make_wme("item", &[("kind", kind), ("count", (n as i64).into())])
+                    .unwrap();
+            }
+            HistOp::Sum(v) => {
+                e.make_wme("sum", &[("v", (v as i64).into())]).unwrap();
+            }
+            HistOp::Remove(i) => {
+                let ids: Vec<WmeId> = e.wm().iter().map(|(id, _)| id).collect();
+                if !ids.is_empty() {
+                    e.remove_wme_id(ids[i as usize % ids.len()]);
+                }
+            }
+            HistOp::Run(n) => {
+                e.run(n as u64);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The reset oracle: after any make/remove/run history, a reset engine
+    /// is indistinguishable from a freshly built one — equal snapshot
+    /// bytes and network statistics — and continuing both with the same
+    /// input gives identical firings, work, working memory (ids and time
+    /// tags included), output and final snapshot.
+    #[test]
+    fn reset_engine_equals_fresh_engine(
+        history in prop::collection::vec(hist_strategy(), 0..30),
+        cont in prop::collection::vec(hist_strategy(), 0..20),
+        observe in (0u8..2).prop_map(|b| b == 1),
+    ) {
+        let program = Arc::new(Program::parse(RESET_PROGRAM).unwrap());
+        let compiled = Engine::compile(&program).unwrap();
+        let mut reused = reset_engine(&program, &compiled);
+        if observe {
+            reused.enable_cycle_log();
+            reused.enable_profile();
+        }
+        apply_history(&mut reused, &history);
+        reused.reset().unwrap();
+        let mut fresh = reset_engine(&program, &compiled);
+        prop_assert_eq!(reused.snapshot(), fresh.snapshot(), "reset snapshot differs");
+        prop_assert_eq!(reused.net_stats(), fresh.net_stats());
+
+        let finish = |e: &mut Engine| {
+            e.enable_cycle_log();
+            apply_history(e, &cont);
+            let out = e.run(10_000);
+            let seq: Vec<u32> = e.take_cycle_log().iter().map(|c| c.production).collect();
+            let wm: Vec<(WmeId, String)> =
+                e.wm().iter().map(|(id, w)| (id, format!("{w} @{}", w.time_tag))).collect();
+            (out, seq, wm, e.work(), e.output.clone(), e.net_stats(), e.snapshot())
+        };
+        let a = finish(&mut reused);
+        let b = finish(&mut fresh);
+        prop_assert!(a.0.quiescent());
+        prop_assert_eq!(a, b);
+    }
+}
+
+/// A backend that cannot reset refuses loudly instead of leaving a
+/// half-cleared engine behind.
+#[test]
+fn reset_fails_on_a_backend_without_reset() {
+    let program = Arc::new(Program::parse(RESET_PROGRAM).unwrap());
+    let mut e = Engine::new_naive(program);
+    let err = e.reset().unwrap_err();
+    assert!(err.to_string().contains("cannot be reset"), "{err}");
+}

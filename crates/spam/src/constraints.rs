@@ -43,18 +43,19 @@ impl Relation {
         }
     }
 
+    /// Every relation.
+    pub const ALL: [Relation; 6] = [
+        Relation::Intersects,
+        Relation::AdjacentTo,
+        Relation::Near,
+        Relation::FarFrom,
+        Relation::ParallelTo,
+        Relation::AlignedWith,
+    ];
+
     /// Parses from the WM name.
     pub fn from_name(s: &str) -> Option<Relation> {
-        [
-            Relation::Intersects,
-            Relation::AdjacentTo,
-            Relation::Near,
-            Relation::FarFrom,
-            Relation::ParallelTo,
-            Relation::AlignedWith,
-        ]
-        .into_iter()
-        .find(|r| r.name() == s)
+        Relation::ALL.into_iter().find(|r| r.name() == s)
     }
 }
 

@@ -166,6 +166,15 @@ pub fn register(engine: &mut Engine, ctx: ExternalCtx) {
     {
         let scene = Arc::clone(&ctx.scene);
         let fragments = Arc::clone(&ctx.fragments);
+        // Every symbol the predicate returns or writes, interned here so
+        // the task's recognize–act cycle never takes the interner lock.
+        let (yes, no) = (Value::symbol("yes"), Value::symbol("no"));
+        let consistent = sym("consistent");
+        let [a, b, rel, weight] = ["a", "b", "rel", "weight"].map(sym);
+        let rels: Vec<Value> = CONSTRAINTS
+            .iter()
+            .map(|c| Value::symbol(c.relation.name()))
+            .collect();
         engine.register_external(
             "lcc-check-pair",
             Arc::new(move |args, eff| {
@@ -174,12 +183,12 @@ pub fn register(engine: &mut Engine, ctx: ExternalCtx) {
                 let g = int(&args[2]);
                 let Some(constraint) = CONSTRAINTS.get(cid) else {
                     eff.cost = cost::CALL;
-                    return Some(Value::symbol("no"));
+                    return Some(no);
                 };
                 let (Some(fa), Some(fb)) = (fragments.get(f as usize), fragments.get(g as usize))
                 else {
                     eff.cost = cost::CALL;
-                    return Some(Value::symbol("no"));
+                    return Some(no);
                 };
                 let pa = &scene.regions[fa.region as usize].polygon;
                 let pb = &scene.regions[fb.region as usize].polygon;
@@ -190,23 +199,23 @@ pub fn register(engine: &mut Engine, ctx: ExternalCtx) {
                 // independent of the task decomposition level.
                 if pa.bbox().distance_to(&pb.bbox()) > relation_radius(constraint) {
                     eff.cost = cost::CALL;
-                    return Some(Value::symbol("no"));
+                    return Some(no);
                 }
                 let (holds, geom_cost) =
                     eval_relation(constraint.relation, constraint.param, pa, pb);
                 eff.cost = cost::CALL + geom_cost;
                 if holds {
                     eff.makes.push((
-                        sym("consistent"),
+                        consistent,
                         vec![
-                            (sym("a"), Value::Int(f)),
-                            (sym("b"), Value::Int(g)),
-                            (sym("rel"), Value::symbol(constraint.relation.name())),
-                            (sym("weight"), Value::Int(constraint.weight)),
+                            (a, Value::Int(f)),
+                            (b, Value::Int(g)),
+                            (rel, rels[cid]),
+                            (weight, Value::Int(constraint.weight)),
                         ],
                     ));
                 }
-                Some(Value::symbol(if holds { "yes" } else { "no" }))
+                Some(if holds { yes } else { no })
             }),
         );
     }

@@ -15,14 +15,17 @@
 //! and support increments) never cross task boundaries, which is what makes
 //! the decomposition safe to run asynchronously.
 
-use crate::constraints::{constraints_for, Constraint, Relation, CONSTRAINTS};
+use crate::constraints::{constraints_for, Relation};
 use crate::externals::{register, ExternalCtx};
 use crate::fragments::{FragmentHypothesis, FragmentKind, ALL_KINDS};
 use crate::rules::SpamProgram;
 use crate::scene::Scene;
-use ops5::{sym, CycleStats, MatchProfile, Value, WorkCounters};
+use ops5::{CycleStats, Engine, MatchProfile, WorkCounters};
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use wm::LccWm;
+
+mod wm;
 use tlp_fault::TaskReport;
 
 /// Candidate-search radius (metres): partners beyond this bounding-box
@@ -214,164 +217,79 @@ pub fn decompose(scene: &Scene, fragments: &[FragmentHypothesis], level: Level) 
     }
 }
 
-fn constraint_fields(c: &Constraint) -> Vec<(&'static str, Value)> {
-    vec![
-        ("id", Value::Int(c.id as i64)),
-        ("subject", c.subject.value()),
-        ("object", c.object.value()),
-        ("rel", Value::symbol(c.relation.name())),
-        ("param", Value::Float(c.param)),
-        ("weight", Value::Int(c.weight)),
-    ]
-}
-
-fn fragment_fields(f: &FragmentHypothesis) -> Vec<(&'static str, Value)> {
-    vec![
-        ("id", Value::Int(f.id as i64)),
-        ("region", Value::Int(f.region as i64)),
-        ("kind", f.kind.value()),
-        ("conf", Value::Float(f.confidence)),
-        ("support", Value::Int(0)),
-        ("status", Value::symbol("hypothesised")),
-    ]
-}
+/// Most firings one LCC task may take. A run that reaches the cap, halts or
+/// stops on an error fails the task instead of being harvested half done.
+const MAX_TASK_FIRINGS: u64 = 1_000_000;
 
 /// Loads one task's working memory into an engine (working-memory
 /// distribution, §5.1): the subject fragment(s), their spatial
 /// neighbourhoods, the applicable constraint records, and the task element
-/// itself. The `control` element must already be present.
+/// itself. The `control` element must already be present. Encodes the
+/// phase's working memory for this one call; the task runners encode it
+/// once per phase instead.
 pub fn load_unit_wm(
-    e: &mut ops5::Engine,
+    e: &mut Engine,
     scene: &Arc<Scene>,
     fragments: &Arc<Vec<FragmentHypothesis>>,
     unit: &LccUnit,
 ) {
-    // Subjects of this task + the constraint ids it may apply.
-    let subjects: Vec<u32> = match unit {
-        LccUnit::Class(k) => fragments
-            .iter()
-            .filter(|f| f.kind == *k)
-            .map(|f| f.id)
-            .collect(),
-        LccUnit::Object(f) => vec![*f],
-        LccUnit::ObjectConstraint(f, _) => vec![*f],
-        LccUnit::Pair { frag, .. } => vec![*frag],
-    };
+    LccWm::new(e.program(), scene, fragments).load(e, unit);
+}
 
-    // Working-memory distribution: subjects + their spatial neighbourhoods.
-    let mut wm_frags: BTreeSet<u32> = subjects.iter().copied().collect();
-    match unit {
-        LccUnit::Pair { other, .. } => {
-            wm_frags.insert(*other);
-        }
-        _ => {
-            for &s in &subjects {
-                wm_frags.extend(neighbourhood(scene, fragments, &fragments[s as usize]));
-            }
-        }
+/// The one LCC task body every runner shares: attaches the optional live
+/// mirror, trace sink and profiler to `e` (a new or freshly reset engine),
+/// loads the `control` element and the task's working memory, runs to
+/// quiescence, and harvests.
+///
+/// # Panics
+/// When the run stops short of quiescence — the firing cap, a `halt`, or a
+/// run error — with the outcome in the message, in release builds too: a
+/// truncated engine is never harvested as a result. Under supervision the
+/// panic fails the attempt, which is retried or dead-lettered, and the
+/// engine is dropped with the unwinding task.
+fn run_unit_on(
+    e: &mut Engine,
+    wm: &LccWm,
+    unit: &LccUnit,
+    live: Option<&Arc<tlp_obs::Live>>,
+    trace: Option<tlp_obs::SpanSink>,
+    profile: bool,
+) -> (LccUnitResult, Option<MatchProfile>) {
+    if let Some(live) = live {
+        e.set_live(live.handle());
     }
-    for &fid in &wm_frags {
-        e.make_wme("fragment", &fragment_fields(&fragments[fid as usize]))
-            .expect("fragment");
+    if let Some(sink) = trace {
+        e.set_trace(sink);
     }
-
-    // Spatial windows: the control process precomputes which partners lie
-    // in each subject's neighbourhood ("near" elements), so pair generation
-    // stays local no matter how many subjects share the task's WM (this is
-    // what bounds the Level-4 class tasks).
-    match unit {
-        LccUnit::Pair { frag, other, .. } => {
-            e.make_wme(
-                "near",
-                &[
-                    ("a", Value::Int(*frag as i64)),
-                    ("b", Value::Int(*other as i64)),
-                    ("kind", fragments[*other as usize].kind.value()),
-                ],
-            )
-            .expect("near");
-        }
-        _ => {
-            for &s in &subjects {
-                for g in neighbourhood(scene, fragments, &fragments[s as usize]) {
-                    e.make_wme(
-                        "near",
-                        &[
-                            ("a", Value::Int(s as i64)),
-                            ("b", Value::Int(g as i64)),
-                            ("kind", fragments[g as usize].kind.value()),
-                        ],
-                    )
-                    .expect("near");
-                }
-            }
-        }
+    if profile {
+        e.enable_profile();
     }
-
-    // Task elements + constraint records, per level.
-    match unit {
-        LccUnit::Class(_) | LccUnit::Object(_) => {
-            for c in CONSTRAINTS {
-                e.make_wme("constraint", &constraint_fields(c))
-                    .expect("constraint");
-            }
-            for &s in &subjects {
-                e.make_wme(
-                    "lcc-task",
-                    &[
-                        ("id", Value::Int(s as i64)),
-                        ("frag", Value::Int(s as i64)),
-                        ("kind", fragments[s as usize].kind.value()),
-                        ("status", Value::symbol("pending")),
-                    ],
-                )
-                .expect("lcc-task");
-            }
-        }
-        LccUnit::ObjectConstraint(f, c) => {
-            let con = &CONSTRAINTS[*c as usize];
-            e.make_wme("constraint", &constraint_fields(con))
-                .expect("constraint");
-            e.make_wme(
-                "lcc-check",
-                &[
-                    ("id", Value::Int(((*f as i64) << 8) | *c as i64)),
-                    ("task", Value::Int(-1)),
-                    ("frag", Value::Int(*f as i64)),
-                    ("constraint", Value::Int(*c as i64)),
-                    ("status", Value::symbol("pending")),
-                ],
-            )
-            .expect("lcc-check");
-        }
-        LccUnit::Pair {
-            frag,
-            constraint,
-            other,
-        } => {
-            e.make_wme(
-                "lcc-pair",
-                &[
-                    ("check", Value::Int(-1)),
-                    ("frag", Value::Int(*frag as i64)),
-                    ("other", Value::Int(*other as i64)),
-                    ("constraint", Value::Int(*constraint as i64)),
-                    ("status", Value::symbol("pending")),
-                ],
-            )
-            .expect("lcc-pair");
-        }
-    }
+    e.enable_cycle_log();
+    wm.load_control(e);
+    wm.load(e, unit);
+    let out = e.run(MAX_TASK_FIRINGS);
+    assert!(
+        out.quiescent(),
+        "LCC task {} stopped short of quiescence: {out:?}",
+        unit.label()
+    );
+    e.publish_live();
+    e.publish_trace();
+    let profile = profile.then(|| e.take_profile()).flatten();
+    (wm.harvest(e, out.firings), profile)
 }
 
 /// Executes one LCC task in a fresh, independent engine.
+///
+/// # Panics
+/// When the task does not reach quiescence (see [`LccPool::run`]).
 pub fn run_lcc_unit(
     sp: &SpamProgram,
     scene: &Arc<Scene>,
     fragments: &Arc<Vec<FragmentHypothesis>>,
     unit: &LccUnit,
 ) -> LccUnitResult {
-    run_lcc_unit_inner(sp, scene, fragments, unit, false).0
+    run_fresh(sp, scene, fragments, unit, None, false).0
 }
 
 /// Executes one LCC task like [`run_lcc_unit`], mirroring the engine's
@@ -388,43 +306,7 @@ pub fn run_lcc_unit_live(
     unit: &LccUnit,
     live: &Arc<tlp_obs::Live>,
 ) -> LccUnitResult {
-    run_lcc_unit_traced(sp, scene, fragments, unit, live, None)
-}
-
-/// [`run_lcc_unit_live`] with a scene-trace span sink attached: the engine
-/// additionally groups its recognize–act cycles into `engine.cycles` aux
-/// spans parented under the owning task-attempt span (see
-/// [`ops5::Engine::set_trace`]), so a retained trace shows where inside the
-/// task the engine spent wall time. Trace-only: results are bit-identical
-/// to [`run_lcc_unit`] with the sink attached, disabled, or absent.
-pub fn run_lcc_unit_traced(
-    sp: &SpamProgram,
-    scene: &Arc<Scene>,
-    fragments: &Arc<Vec<FragmentHypothesis>>,
-    unit: &LccUnit,
-    live: &Arc<tlp_obs::Live>,
-    trace: Option<tlp_obs::SpanSink>,
-) -> LccUnitResult {
-    let mut e = lcc_engine(sp, scene, fragments);
-    e.set_live(live.handle());
-    if let Some(sink) = trace {
-        e.set_trace(sink);
-    }
-    e.enable_cycle_log();
-    e.make_wme(
-        "control",
-        &[
-            ("phase", Value::symbol("lcc")),
-            ("status", Value::symbol("running")),
-        ],
-    )
-    .expect("control");
-    load_unit_wm(&mut e, scene, fragments, unit);
-    let out = e.run(1_000_000);
-    debug_assert!(out.quiescent(), "LCC task must reach quiescence: {out:?}");
-    e.publish_live();
-    e.publish_trace();
-    harvest_lcc_unit(&mut e, out.firings)
+    run_fresh(sp, scene, fragments, unit, Some(live), false).0
 }
 
 /// Executes one LCC task with match-level profiling enabled, returning the
@@ -437,7 +319,82 @@ pub fn run_lcc_unit_profiled(
     fragments: &Arc<Vec<FragmentHypothesis>>,
     unit: &LccUnit,
 ) -> (LccUnitResult, Option<MatchProfile>) {
-    run_lcc_unit_inner(sp, scene, fragments, unit, true)
+    run_fresh(sp, scene, fragments, unit, None, true)
+}
+
+/// [`run_unit_on`] on a new engine, the phase's working memory encoded for
+/// this one task.
+fn run_fresh(
+    sp: &SpamProgram,
+    scene: &Arc<Scene>,
+    fragments: &Arc<Vec<FragmentHypothesis>>,
+    unit: &LccUnit,
+    live: Option<&Arc<tlp_obs::Live>>,
+    profile: bool,
+) -> (LccUnitResult, Option<MatchProfile>) {
+    let wm = LccWm::new(&sp.program, scene, fragments);
+    let mut e = lcc_engine(sp, scene, fragments);
+    run_unit_on(&mut e, &wm, unit, live, None, profile)
+}
+
+/// The task engines of one LCC phase and the working memory they are
+/// handed: the paper's task processes, each owning one OPS5 instance for
+/// the whole phase (§5.1). A task checks an engine out — reset, or built
+/// at first use — runs on it, and returns it only after a clean finish, so
+/// the pool never holds more engines than there are workers. Engines are
+/// bound to this phase's scene through their external functions and die
+/// with the pool.
+pub struct LccPool<'a> {
+    sp: &'a SpamProgram,
+    wm: LccWm,
+    idle: Mutex<Vec<Engine>>,
+}
+
+impl<'a> LccPool<'a> {
+    /// An empty pool for the phase over `scene` and `fragments`, with the
+    /// phase's working memory encoded.
+    pub fn new(
+        sp: &'a SpamProgram,
+        scene: &Arc<Scene>,
+        fragments: &Arc<Vec<FragmentHypothesis>>,
+    ) -> LccPool<'a> {
+        LccPool {
+            sp,
+            wm: LccWm::new(&sp.program, scene, fragments),
+            idle: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Executes one LCC task on a pooled engine. The result is
+    /// bit-identical to [`run_lcc_unit`]'s: a reset engine replays a task
+    /// exactly as a new one does. `live` mirrors the engine's counters as
+    /// [`run_lcc_unit_live`] does; `trace` groups its recognize–act cycles
+    /// into `engine.cycles` aux spans under the task attempt that owns the
+    /// sink (see [`ops5::Engine::set_trace`]).
+    ///
+    /// # Panics
+    /// When the task stops short of quiescence (the firing cap, a `halt`,
+    /// or a run error), with the run outcome in the message. The engine is
+    /// dropped during the unwind, never returned to the pool.
+    pub fn run(
+        &self,
+        unit: &LccUnit,
+        live: Option<&Arc<tlp_obs::Live>>,
+        trace: Option<tlp_obs::SpanSink>,
+    ) -> LccUnitResult {
+        let idle = self.idle.lock().expect("engine pool lock").pop();
+        let mut e = match idle {
+            Some(mut e) => {
+                e.reset()
+                    .expect("LCC engines run on the Rete, which resets");
+                e
+            }
+            None => lcc_engine(self.sp, &self.wm.scene, &self.wm.fragments),
+        };
+        let (result, _) = run_unit_on(&mut e, &self.wm, unit, live, trace, false);
+        self.idle.lock().expect("engine pool lock").push(e);
+        result
+    }
 }
 
 /// Creates a fresh engine wired for LCC task execution: the SPAM program
@@ -448,17 +405,19 @@ pub fn lcc_engine(
     sp: &SpamProgram,
     scene: &Arc<Scene>,
     fragments: &Arc<Vec<FragmentHypothesis>>,
-) -> ops5::Engine {
+) -> Engine {
     let mut e = sp.engine();
-    register(
-        &mut e,
-        ExternalCtx {
-            scene: Arc::clone(scene),
-            fragments: Arc::clone(fragments),
-            id_base: 1 << 30,
-        },
-    );
+    register_lcc(&mut e, scene, fragments);
     e
+}
+
+fn register_lcc(e: &mut Engine, scene: &Arc<Scene>, fragments: &Arc<Vec<FragmentHypothesis>>) {
+    let ctx = ExternalCtx {
+        scene: Arc::clone(scene),
+        fragments: Arc::clone(fragments),
+        id_base: 1 << 30,
+    };
+    register(e, ctx);
 }
 
 /// Rebuilds an LCC task engine from a checkpoint snapshot. External
@@ -470,21 +429,14 @@ pub fn restore_lcc_engine(
     scene: &Arc<Scene>,
     fragments: &Arc<Vec<FragmentHypothesis>>,
     snapshot: &[u8],
-) -> ops5::Result<ops5::Engine> {
-    let mut e = ops5::Engine::restore(
+) -> ops5::Result<Engine> {
+    let mut e = Engine::restore(
         Arc::clone(&sp.program),
         Arc::clone(&sp.compiled),
         sp.config,
         snapshot,
     )?;
-    register(
-        &mut e,
-        ExternalCtx {
-            scene: Arc::clone(scene),
-            fragments: Arc::clone(fragments),
-            id_base: 1 << 30,
-        },
-    );
+    register_lcc(&mut e, scene, fragments);
     Ok(e)
 }
 
@@ -493,87 +445,8 @@ pub fn restore_lcc_engine(
 /// work/firing accounting. `firings` is the task's total production count
 /// ([`ops5::RunOutcome::firings`], or [`ops5::Engine::work`]`.firings` for
 /// a stepped or restored engine).
-pub fn harvest_lcc_unit(e: &mut ops5::Engine, firings: u64) -> LccUnitResult {
-    let program = e.program();
-    let cons_class = sym("consistent");
-    let slot =
-        |class: &str, attr: &str| program.slot_of(sym(class), sym(attr)).expect("slot") as usize;
-    let (ca, cb, crel, cw) = (
-        slot("consistent", "a"),
-        slot("consistent", "b"),
-        slot("consistent", "rel"),
-        slot("consistent", "weight"),
-    );
-    let consistents: Vec<ConsistentRec> = e
-        .wm()
-        .iter()
-        .filter(|(_, w)| w.class == cons_class)
-        .map(|(_, w)| ConsistentRec {
-            a: w.get(ca).as_int().unwrap_or(0) as u32,
-            b: w.get(cb).as_int().unwrap_or(0) as u32,
-            rel: w
-                .get(crel)
-                .as_sym()
-                .and_then(|s| Relation::from_name(&s.name()))
-                .unwrap_or(Relation::Near),
-            weight: w.get(cw).as_int().unwrap_or(0),
-        })
-        .collect();
-
-    let frag_class = sym("fragment");
-    let (fid, fsup) = (slot("fragment", "id"), slot("fragment", "support"));
-    let supports: Vec<(u32, i64)> = e
-        .wm()
-        .iter()
-        .filter(|(_, w)| w.class == frag_class)
-        .filter_map(|(_, w)| {
-            let s = w.get(fsup).as_int()?;
-            if s > 0 {
-                Some((w.get(fid).as_int()? as u32, s))
-            } else {
-                None
-            }
-        })
-        .collect();
-
-    let work = e.work();
-    LccUnitResult {
-        consistents,
-        supports,
-        rhs_actions: work.rhs_actions,
-        work,
-        firings,
-        cycle_log: e.take_cycle_log(),
-    }
-}
-
-fn run_lcc_unit_inner(
-    sp: &SpamProgram,
-    scene: &Arc<Scene>,
-    fragments: &Arc<Vec<FragmentHypothesis>>,
-    unit: &LccUnit,
-    profile: bool,
-) -> (LccUnitResult, Option<MatchProfile>) {
-    let mut e = lcc_engine(sp, scene, fragments);
-    e.enable_cycle_log();
-    if profile {
-        e.enable_profile();
-    }
-    e.make_wme(
-        "control",
-        &[
-            ("phase", Value::symbol("lcc")),
-            ("status", Value::symbol("running")),
-        ],
-    )
-    .expect("control");
-    load_unit_wm(&mut e, scene, fragments, unit);
-
-    let out = e.run(1_000_000);
-    debug_assert!(out.quiescent(), "LCC task must reach quiescence: {out:?}");
-
-    let prof = if profile { e.take_profile() } else { None };
-    (harvest_lcc_unit(&mut e, out.firings), prof)
+pub fn harvest_lcc_unit(e: &mut Engine, firings: u64) -> LccUnitResult {
+    wm::Harvest::new(e.program()).harvest(e, firings)
 }
 
 /// Runs the whole LCC phase at `level`, sequentially (the Table 8 BASELINE
@@ -600,6 +473,8 @@ pub fn run_lcc_profiled(
     run_lcc_inner(sp, scene, fragments, level, true)
 }
 
+/// The sequential oracle: every task on a new engine, the phase's working
+/// memory encoded once.
 fn run_lcc_inner(
     sp: &SpamProgram,
     scene: &Arc<Scene>,
@@ -608,11 +483,13 @@ fn run_lcc_inner(
     profile: bool,
 ) -> (LccPhaseResult, Option<MatchProfile>) {
     let units = decompose(scene, fragments, level);
+    let wm = LccWm::new(&sp.program, scene, fragments);
     let mut merged: Option<MatchProfile> = None;
     let results = units
         .iter()
         .map(|u| {
-            let (r, prof) = run_lcc_unit_inner(sp, scene, fragments, u, profile);
+            let mut e = lcc_engine(sp, scene, fragments);
+            let (r, prof) = run_unit_on(&mut e, &wm, u, None, None, profile);
             if let Some(p) = prof {
                 match &mut merged {
                     Some(m) => m.merge(&p),
@@ -665,15 +542,20 @@ pub fn merge_lcc_units(
     }
 }
 
-// The parallel runner executes LCC units under `std::panic::catch_unwind`;
-// that is only sound because a unit builds its entire engine from shared
-// *immutable* state. Keep these types unwind-safe.
+// The parallel runner executes LCC units under `std::panic::catch_unwind`.
+// That is sound because nothing a panicking task touched is reused: tasks
+// read only shared *immutable* state (these types), the phase's encoded
+// working memory is written only through `OnceLock`s, an engine is reset
+// when it is checked out of the pool, and a task that panics drops its
+// engine during the unwind instead of returning it. Keep these types
+// unwind-safe.
 const _: () = {
     const fn assert_ref_unwind_safe<T: std::panic::RefUnwindSafe>() {}
     assert_ref_unwind_safe::<SpamProgram>();
     assert_ref_unwind_safe::<Scene>();
     assert_ref_unwind_safe::<FragmentHypothesis>();
     assert_ref_unwind_safe::<LccUnit>();
+    assert_ref_unwind_safe::<LccPool>();
 };
 
 #[cfg(test)]
@@ -749,6 +631,84 @@ mod tests {
         let silent = run_lcc_unit_live(&sp, &scene, &frags, &unit, &off);
         assert_eq!(plain.consistents, silent.consistents);
         assert!(off.snapshot().series.is_empty());
+    }
+
+    fn assert_same_result(a: &LccUnitResult, b: &LccUnitResult, what: &str) {
+        assert_eq!(a.consistents, b.consistents, "{what}: consistents");
+        assert_eq!(a.supports, b.supports, "{what}: supports");
+        assert_eq!(a.work, b.work, "{what}: work");
+        assert_eq!(a.firings, b.firings, "{what}: firings");
+        assert_eq!(a.rhs_actions, b.rhs_actions, "{what}: rhs_actions");
+        assert_eq!(a.cycle_log, b.cycle_log, "{what}: cycle_log");
+    }
+
+    #[test]
+    fn pooled_engine_reproduces_fresh_engines_at_every_level() {
+        let (sp, scene, frags) = setup();
+        let pool = LccPool::new(&sp, &scene, &frags);
+        let mut units: Vec<LccUnit> = [Level::L4, Level::L3, Level::L2, Level::L1]
+            .into_iter()
+            .flat_map(|level| decompose(&scene, &frags, level))
+            .collect();
+        // A fixed shuffle, so each task follows an unrelated one on the
+        // reused engine.
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for i in (1..units.len()).rev() {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            units.swap(i, (x % (i as u64 + 1)) as usize);
+        }
+        for unit in &units {
+            let pooled = pool.run(unit, None, None);
+            let fresh = run_lcc_unit(&sp, &scene, &frags, unit);
+            assert_same_result(&pooled, &fresh, &unit.label());
+        }
+        assert_eq!(pool.idle.lock().unwrap().len(), 1, "one engine served all");
+    }
+
+    #[test]
+    fn task_panicking_mid_run_drops_its_engine_and_the_retry_matches() {
+        let (sp, scene, frags) = setup();
+        let unit = LccUnit::Object(frags[0].id);
+        let pool = LccPool::new(&sp, &scene, &frags);
+        let mut faulty = lcc_engine(&sp, &scene, &frags);
+        faulty.register_external("lcc-init", Arc::new(|_, _| panic!("geometry crashed")));
+        pool.idle.lock().unwrap().push(faulty);
+        let crashed = std::panic::catch_unwind(|| pool.run(&unit, None, None));
+        assert!(crashed.is_err());
+        assert!(
+            pool.idle.lock().unwrap().is_empty(),
+            "the panicked engine is dropped"
+        );
+        let retry = pool.run(&unit, None, None);
+        assert_same_result(&retry, &run_lcc_unit(&sp, &scene, &frags, &unit), "retry");
+    }
+
+    #[test]
+    fn non_quiescent_task_fails_in_release_builds_too() {
+        let (sp, scene, frags) = setup();
+        let unit = LccUnit::Object(frags[0].id);
+        let pool = LccPool::new(&sp, &scene, &frags);
+        let mut halting = lcc_engine(&sp, &scene, &frags);
+        let halt = |_: &[ops5::Value], eff: &mut ops5::Effects| {
+            eff.halt = true;
+            None
+        };
+        halting.register_external("lcc-init", Arc::new(halt));
+        pool.idle.lock().unwrap().push(halting);
+        let err = std::panic::catch_unwind(|| pool.run(&unit, None, None))
+            .expect_err("a halted task must not be harvested");
+        let msg = err.downcast_ref::<String>().expect("formatted message");
+        assert!(msg.contains(&unit.label()), "{msg}");
+        assert!(
+            msg.contains("halted: true"),
+            "outcome in the message: {msg}"
+        );
+        assert!(
+            pool.idle.lock().unwrap().is_empty(),
+            "never returned to the pool"
+        );
     }
 
     #[test]
