@@ -27,7 +27,7 @@ use spam::lcc::Level;
 use spam_psm::exec::ExecConfig;
 use std::process::ExitCode;
 use std::time::Instant;
-use tlp_bench::{header, Prepared};
+use tlp_bench::{header, median, Host, Prepared};
 use tlp_fault::{FaultPlan, SupervisorConfig};
 use tlp_obs::json::Json;
 use tlp_obs::{Live, Recorder};
@@ -37,17 +37,6 @@ const SWEEP: [usize; 4] = [1, 2, 4, 8];
 
 /// LCC runs per timed measurement (same block size as `bench_trace`).
 const INNER: usize = 3;
-
-fn median(xs: &[f64]) -> f64 {
-    let mut s = xs.to_vec();
-    s.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let n = s.len();
-    if n % 2 == 1 {
-        s[n / 2]
-    } else {
-        0.5 * (s[n / 2 - 1] + s[n / 2])
-    }
-}
 
 /// One executor run at `workers`; returns the phase identity tuple and the
 /// measured report.
@@ -105,13 +94,8 @@ fn main() -> ExitCode {
     let out = out.unwrap_or_else(|| "BENCH_exec.json".to_string());
 
     header("Work-stealing executor bench (LCC Level 3, DC, real cores)");
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let profile = if cfg!(debug_assertions) {
-        "debug"
-    } else {
-        "release"
-    };
-    println!("host: cores={cores} profile={profile}");
+    let host = Host::detect();
+    println!("host: {host}");
     let p = Prepared::new(spam::datasets::dc());
 
     // Sequential reference: every executor run at every worker count must
@@ -210,13 +194,7 @@ fn main() -> ExitCode {
         ("dataset", Json::str("DC")),
         ("phase", Json::str("LCC Level 3")),
         ("reps", Json::Num(reps as f64)),
-        (
-            "host",
-            Json::obj(vec![
-                ("cores", Json::Num(cores as f64)),
-                ("profile", Json::str(profile)),
-            ]),
-        ),
+        ("host", host.json()),
         ("wall", Json::Arr(wall_rows)),
         (
             "exec",

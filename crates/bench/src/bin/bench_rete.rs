@@ -8,10 +8,13 @@
 //! cargo run --release --bin bench_rete [-- out.json] [--check-reduction PCT]
 //! ```
 //!
-//! CI compares the output against `crates/bench/baselines/BENCH_rete.json`
-//! with `benchdiff --ignore shared.wall_ms --ignore unshared.wall_ms`
-//! (work units are deterministic; wall time is not) and gates the headline
-//! with `--check-reduction 25`.
+//! Each side's `wall_ms` is the median over `REPS` repetitions that
+//! alternate the two configurations, so slow host drift hits both alike;
+//! `host` records the cores and build profile it was measured with. CI
+//! compares the output against `crates/bench/baselines/BENCH_rete.json`
+//! with `benchdiff --ignore shared.wall_ms --ignore unshared.wall_ms
+//! --ignore host` (work units are deterministic; wall time is not) and
+//! gates the headline with `--check-reduction 25`.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -20,27 +23,68 @@ use std::time::Instant;
 use ops5::profile::NetStats;
 use spam::lcc::{run_lcc_profiled, LccPhaseResult, Level};
 use spam::rules::SpamProgram;
-use tlp_bench::header;
+use tlp_bench::{header, median, Host};
 use tlp_obs::json::Json;
 
+/// Timed repetitions per configuration.
+const REPS: usize = 9;
+
 /// One configuration's measurement: the LCC result, its aggregated
-/// network statistics, and the wall time of the run.
+/// network statistics, and the median wall time of its runs.
 struct Measured {
     lcc: LccPhaseResult,
     net: NetStats,
     wall_ms: f64,
 }
 
-fn measure(
+/// One profiled LCC Level 4 run and its wall time in milliseconds.
+fn run_once(
     sp: &SpamProgram,
     scene: &Arc<spam::scene::Scene>,
     frags: &Arc<Vec<spam::fragments::FragmentHypothesis>>,
-) -> Measured {
+) -> (LccPhaseResult, NetStats, f64) {
     let start = Instant::now();
     let (lcc, profile) = run_lcc_profiled(sp, scene, frags, Level::L4);
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let net = profile.map(|p| p.net).unwrap_or_default();
-    Measured { lcc, net, wall_ms }
+    (lcc, profile.map(|p| p.net).unwrap_or_default(), wall_ms)
+}
+
+/// Runs every configuration `REPS` times, alternating between them each
+/// repetition, and returns one [`Measured`] per configuration. Every
+/// repetition of a configuration must compute the same work and network
+/// statistics; only the wall times differ.
+fn measure(
+    sps: &[&SpamProgram],
+    scene: &Arc<spam::scene::Scene>,
+    frags: &Arc<Vec<spam::fragments::FragmentHypothesis>>,
+) -> Vec<Measured> {
+    let mut first: Vec<Option<(LccPhaseResult, NetStats)>> = sps.iter().map(|_| None).collect();
+    let mut walls: Vec<Vec<f64>> = vec![Vec::with_capacity(REPS); sps.len()];
+    for _ in 0..REPS {
+        for (i, sp) in sps.iter().enumerate() {
+            let (lcc, net, wall_ms) = run_once(sp, scene, frags);
+            walls[i].push(wall_ms);
+            match &first[i] {
+                Some((l, n)) => {
+                    assert_eq!(l.work, lcc.work, "repetitions must compute the same work");
+                    assert_eq!(*n, net, "repetitions must match on the same network");
+                }
+                None => first[i] = Some((lcc, net)),
+            }
+        }
+    }
+    first
+        .into_iter()
+        .zip(&walls)
+        .map(|(f, w)| {
+            let (lcc, net) = f.expect("at least one repetition");
+            Measured {
+                lcc,
+                net,
+                wall_ms: median(w),
+            }
+        })
+        .collect()
 }
 
 fn side_json(m: &Measured) -> Json {
@@ -97,9 +141,11 @@ fn main() -> ExitCode {
     let sp_unshared = sp_shared.clone().with_config(ops5::ReteConfig::unshared());
     let scene = Arc::new(spam::generate_scene(&dataset.spec));
     let frags = Arc::new(spam::rtf::run_rtf(&sp_shared, &scene).fragments);
+    let host = Host::detect();
+    println!("host: {host}, {REPS} interleaved repetitions per configuration");
 
-    let shared = measure(&sp_shared, &scene, &frags);
-    let unshared = measure(&sp_unshared, &scene, &frags);
+    let mut measured = measure(&[&sp_shared, &sp_unshared], &scene, &frags).into_iter();
+    let (shared, unshared) = (measured.next().unwrap(), measured.next().unwrap());
 
     // The network configuration must not change what the phase computes.
     assert_eq!(shared.lcc.fragments, unshared.lcc.fragments);
@@ -125,6 +171,7 @@ fn main() -> ExitCode {
         ("bench", Json::str("rete")),
         ("dataset", Json::str(dataset.spec.name)),
         ("phase", Json::str("LCC Level 4")),
+        ("host", host.json()),
         ("shared", side_json(&shared)),
         ("unshared", side_json(&unshared)),
         ("reduction_pct", Json::Num(reduction_pct)),

@@ -26,24 +26,13 @@ use spam::lcc::Level;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
-use tlp_bench::{header, Prepared};
+use tlp_bench::{header, median, Prepared};
 use tlp_fault::{FaultPlan, SupervisorConfig};
 use tlp_obs::json::Json;
 use tlp_obs::{Live, Recorder, RetainedTrace, SamplerConfig, SpanKind, Tracing};
 
 const WORKERS: usize = 4;
 const SEED: u64 = 0;
-
-fn median(xs: &[f64]) -> f64 {
-    let mut s = xs.to_vec();
-    s.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let n = s.len();
-    if n % 2 == 1 {
-        s[n / 2]
-    } else {
-        0.5 * (s[n / 2 - 1] + s[n / 2])
-    }
-}
 
 /// Mean of the fastest two-thirds of the blocks (ms) — the same one-sided
 /// noise estimator `bench_live` gates on.

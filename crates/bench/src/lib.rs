@@ -49,6 +49,61 @@ impl Prepared {
     }
 }
 
+/// Median of a sample. Sorts a copy; the input order is the interleaved
+/// measurement order.
+///
+/// # Panics
+/// On an empty sample.
+pub fn median(xs: &[f64]) -> f64 {
+    let mut s = xs.to_vec();
+    s.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    let n = s.len();
+    if n % 2 == 1 {
+        s[n / 2]
+    } else {
+        0.5 * (s[n / 2 - 1] + s[n / 2])
+    }
+}
+
+/// The host a wall-clock section was measured on. A measured speed-up is
+/// bounded by min(workers, cores), and a debug build is no measure of a
+/// release one, so every bench that reports wall time records both.
+#[derive(Clone, Copy, Debug)]
+pub struct Host {
+    /// Cores available to the process (`available_parallelism`).
+    pub cores: usize,
+    /// `"release"` or `"debug"`.
+    pub profile: &'static str,
+}
+
+impl Host {
+    /// The host this process runs on.
+    pub fn detect() -> Host {
+        Host {
+            cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            profile: if cfg!(debug_assertions) {
+                "debug"
+            } else {
+                "release"
+            },
+        }
+    }
+
+    /// The `host: {cores, profile}` object of a bench JSON.
+    pub fn json(&self) -> tlp_obs::json::Json {
+        tlp_obs::json::Json::obj(vec![
+            ("cores", tlp_obs::json::Json::Num(self.cores as f64)),
+            ("profile", tlp_obs::json::Json::str(self.profile)),
+        ])
+    }
+}
+
+impl std::fmt::Display for Host {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "cores={} profile={}", self.cores, self.profile)
+    }
+}
+
 /// Prints a section header.
 pub fn header(title: &str) {
     println!();

@@ -7,16 +7,29 @@
 //! resolution serialises the cycle boundary. SPAM/PSM escapes it by running
 //! many independent engines, each with its own conflict set.
 //!
-//! The set is indexed rather than scanned: each instantiation caches its
-//! descending time-tag key at construction, a `BTreeSet` of rank keys keeps
-//! the entries ordered under the active strategy (so `select`/`peek` are a
-//! tree lookup, not a full scan with per-comparison allocation), and a
-//! WME→keys map makes `retract_wme` touch only the affected entries.
+//! Each instantiation is stored once, in one shared allocation (an
+//! `Arc`), and two indexes refer to it:
+//!
+//! - an entry set keyed by `(production, wmes)`, probed with a borrowed
+//!   key, so `remove` builds no boxed key;
+//! - a `BTreeSet` rank index ordered under the active strategy exactly as
+//!   `compare` orders, so `select`/`peek` are a tree lookup, not a full
+//!   scan.
+//!
+//! Each instantiation caches its descending time-tag key at construction,
+//! so rank comparisons are slice compares with no allocation. An insert
+//! costs the one shared allocation plus the rank tree's own nodes. The
+//! matcher reports retractions one instantiation at a time, so the set
+//! keeps no WME→instantiation index.
 
 use crate::ast::Production;
+use crate::fxhash::FxHashSet;
 use crate::wme::{TimeTag, WmeId};
-use std::cmp::{Ordering, Reverse};
-use std::collections::{BTreeSet, HashMap};
+use std::borrow::Borrow;
+use std::cmp::Ordering;
+use std::collections::BTreeSet;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// Conflict-resolution strategy.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -88,46 +101,114 @@ impl Instantiation {
     }
 }
 
-/// Entry key: production index plus matched WMEs.
-type Key = (u32, Box<[WmeId]>);
-
-/// Rank-index key. Field order mirrors [`compare`]: MEA first-CE tag (0
-/// under LEX), descending time tags (slice order = lexicographic, then
-/// length — exactly the LEX recency rule), specificity, then the
-/// deterministic tie-breaks (lower production index, then `wmes`) inverted
-/// so the *maximum* rank key is the dominant instantiation.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
-struct RankKey {
-    mea: TimeTag,
-    tags: Box<[TimeTag]>,
-    specificity: u32,
-    production: Reverse<u32>,
-    wmes: Reverse<Box<[WmeId]>>,
+/// Anything that names a conflict-set entry: a production plus the WMEs
+/// of its match. The entry set hashes and compares through this view, so
+/// a lookup can pass a borrowed `(production, &[WmeId])` instead of
+/// building an owned key.
+trait Keyed {
+    fn key(&self) -> (u32, &[WmeId]);
 }
 
-fn rank_key(strategy: Strategy, inst: &Instantiation) -> RankKey {
-    RankKey {
-        mea: match strategy {
-            Strategy::Mea => inst.mea_tag(),
-            Strategy::Lex => 0,
-        },
-        tags: inst.sorted_tags.clone(),
-        specificity: inst.specificity,
-        production: Reverse(inst.production),
-        wmes: Reverse(inst.wmes.clone()),
+impl Keyed for (u32, &[WmeId]) {
+    fn key(&self) -> (u32, &[WmeId]) {
+        *self
     }
 }
+
+impl Hash for dyn Keyed + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.key().hash(state);
+    }
+}
+
+impl PartialEq for dyn Keyed + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for dyn Keyed + '_ {}
+
+/// An entry-set member: the shared instantiation, hashed and compared by
+/// its key alone, exactly as its borrowed `dyn Keyed` view is.
+#[derive(Clone, Debug)]
+struct Entry(Arc<Instantiation>);
+
+impl Keyed for Entry {
+    fn key(&self) -> (u32, &[WmeId]) {
+        (self.0.production, &self.0.wmes)
+    }
+}
+
+impl<'a> Borrow<dyn Keyed + 'a> for Entry {
+    fn borrow(&self) -> &(dyn Keyed + 'a) {
+        self
+    }
+}
+
+impl Hash for Entry {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.key().hash(state);
+    }
+}
+
+impl PartialEq for Entry {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for Entry {}
+
+/// A rank-index member: the shared instantiation plus its MEA first-CE
+/// tag (0 under LEX). Ordered exactly like [`compare`] under the strategy
+/// the tag was taken for, so the *maximum* is the dominant instantiation.
+#[derive(Clone, Debug)]
+struct Ranked {
+    mea: TimeTag,
+    inst: Arc<Instantiation>,
+}
+
+impl Ranked {
+    fn new(strategy: Strategy, inst: Arc<Instantiation>) -> Ranked {
+        let mea = match strategy {
+            Strategy::Mea => inst.mea_tag(),
+            Strategy::Lex => 0,
+        };
+        Ranked { mea, inst }
+    }
+}
+
+impl Ord for Ranked {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.mea
+            .cmp(&other.mea)
+            .then_with(|| compare(Strategy::Lex, &self.inst, &other.inst))
+    }
+}
+
+impl PartialOrd for Ranked {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Ranked {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Ranked {}
 
 /// The conflict set: all currently satisfied, unfired instantiations.
 #[derive(Clone, Debug, Default)]
 pub struct ConflictSet {
-    entries: HashMap<Key, Instantiation>,
+    entries: FxHashSet<Entry>,
     /// Rank index under `rank_strategy`; rebuilt lazily when a different
     /// strategy is requested (engines use one strategy for a whole run).
-    rank: BTreeSet<RankKey>,
+    rank: BTreeSet<Ranked>,
     rank_strategy: Strategy,
-    /// WME → keys of the entries whose match includes it.
-    by_wme: HashMap<WmeId, Vec<Key>>,
 }
 
 impl ConflictSet {
@@ -148,71 +229,40 @@ impl ConflictSet {
 
     /// Adds an instantiation (idempotent for identical keys).
     pub fn insert(&mut self, inst: Instantiation) {
-        let key = (inst.production, inst.wmes.clone());
-        if let Some(old) = self.entries.remove(&key) {
-            self.unlink(&key, &old);
+        let inst = Arc::new(inst);
+        if let Some(Entry(old)) = self.entries.replace(Entry(Arc::clone(&inst))) {
+            self.rank.remove(&Ranked::new(self.rank_strategy, old));
         }
-        self.rank.insert(rank_key(self.rank_strategy, &inst));
-        for (i, &w) in inst.wmes.iter().enumerate() {
-            // Register each WME once even when it matches several CEs.
-            if !inst.wmes[..i].contains(&w) {
-                self.by_wme.entry(w).or_default().push(key.clone());
-            }
-        }
-        self.entries.insert(key, inst);
+        self.rank.insert(Ranked::new(self.rank_strategy, inst));
     }
 
     /// Removes an instantiation by key; returns true when present.
     pub fn remove(&mut self, production: u32, wmes: &[WmeId]) -> bool {
-        let key: Key = (production, wmes.into());
-        match self.entries.remove(&key) {
-            Some(inst) => {
-                self.unlink(&key, &inst);
+        match self.entries.take(&(production, wmes) as &dyn Keyed) {
+            Some(Entry(inst)) => {
+                self.rank.remove(&Ranked::new(self.rank_strategy, inst));
                 true
             }
             None => false,
         }
     }
 
-    /// Removes every instantiation whose match includes `wme` (via the
-    /// WME→keys index — only the affected entries are touched).
-    pub fn retract_wme(&mut self, wme: WmeId) {
-        let Some(keys) = self.by_wme.remove(&wme) else {
-            return;
-        };
-        for key in keys {
-            if let Some(inst) = self.entries.remove(&key) {
-                self.rank.remove(&rank_key(self.rank_strategy, &inst));
-                for (i, &w) in inst.wmes.iter().enumerate() {
-                    if w != wme && !inst.wmes[..i].contains(&w) {
-                        unindex(&mut self.by_wme, w, &key);
-                    }
-                }
-            }
-        }
-    }
-
     /// Iterates over the instantiations (arbitrary order).
     pub fn iter(&self) -> impl Iterator<Item = &Instantiation> {
-        self.entries.values()
+        self.entries.iter().map(|e| &*e.0)
     }
 
     /// Selects the dominant instantiation under `strategy` and removes it
     /// from the set (OPS5 refraction). Returns `None` at quiescence.
     pub fn select(&mut self, strategy: Strategy) -> Option<Instantiation> {
         self.ensure_rank(strategy);
-        let top = self.rank.pop_last()?;
-        let key: Key = (top.production.0, top.wmes.0);
-        let inst = self
+        let top = self.rank.pop_last()?.inst;
+        let entry = self
             .entries
-            .remove(&key)
+            .take(&(top.production, &*top.wmes) as &dyn Keyed)
             .expect("rank index entry has a backing instantiation");
-        for (i, &w) in inst.wmes.iter().enumerate() {
-            if !inst.wmes[..i].contains(&w) {
-                unindex(&mut self.by_wme, w, &key);
-            }
-        }
-        Some(inst)
+        drop(entry);
+        Some(Arc::try_unwrap(top).unwrap_or_else(|shared| (*shared).clone()))
     }
 
     /// Like [`select`](Self::select) but leaves the instantiation in place.
@@ -220,22 +270,10 @@ impl ConflictSet {
     /// this falls back to a linear maximum (still allocation-free thanks to
     /// the cached tag keys); `select` re-keys the index instead.
     pub fn peek(&self, strategy: Strategy) -> Option<&Instantiation> {
-        if strategy == self.rank_strategy && self.rank.len() == self.entries.len() {
-            let top = self.rank.last()?;
-            let key: Key = (top.production.0, top.wmes.0.clone());
-            return self.entries.get(&key);
+        if strategy == self.rank_strategy {
+            return self.rank.last().map(|r| &*r.inst);
         }
-        self.entries.values().max_by(|a, b| compare(strategy, a, b))
-    }
-
-    /// Drops an entry's rank-index and WME-index records.
-    fn unlink(&mut self, key: &Key, inst: &Instantiation) {
-        self.rank.remove(&rank_key(self.rank_strategy, inst));
-        for (i, &w) in inst.wmes.iter().enumerate() {
-            if !inst.wmes[..i].contains(&w) {
-                unindex(&mut self.by_wme, w, key);
-            }
-        }
+        self.iter().max_by(|a, b| compare(strategy, a, b))
     }
 
     /// Rebuilds the rank index when the requested strategy changed.
@@ -246,26 +284,16 @@ impl ConflictSet {
         self.rank_strategy = strategy;
         self.rank = self
             .entries
-            .values()
-            .map(|i| rank_key(strategy, i))
+            .iter()
+            .map(|e| Ranked::new(strategy, Arc::clone(&e.0)))
             .collect();
     }
 }
 
-fn unindex(by_wme: &mut HashMap<WmeId, Vec<Key>>, w: WmeId, key: &Key) {
-    if let Some(keys) = by_wme.get_mut(&w) {
-        if let Some(pos) = keys.iter().position(|k| k == key) {
-            keys.swap_remove(pos);
-        }
-        if keys.is_empty() {
-            by_wme.remove(&w);
-        }
-    }
-}
-
 /// Total order used for resolution; `Greater` means "dominates". The rank
-/// index orders identically (asserted by the tests); this function remains
-/// the executable specification and serves strategy-mismatched `peek`s.
+/// index orders through it (under LEX, after the MEA tag), so this function
+/// is the executable specification; it also serves strategy-mismatched
+/// `peek`s.
 fn compare(strategy: Strategy, a: &Instantiation, b: &Instantiation) -> Ordering {
     if strategy == Strategy::Mea {
         match a.mea_tag().cmp(&b.mea_tag()) {
@@ -312,6 +340,7 @@ pub fn make_instantiation(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::Strategy as _;
 
     fn inst(prod: u32, tags: &[TimeTag], spec: u32) -> Instantiation {
         Instantiation::new(
@@ -378,29 +407,6 @@ mod tests {
     }
 
     #[test]
-    fn retract_wme_removes_matching_instantiations() {
-        let mut cs = ConflictSet::new();
-        cs.insert(inst(0, &[1, 2], 1));
-        cs.insert(inst(1, &[3, 4], 1));
-        cs.retract_wme(WmeId(2));
-        assert_eq!(cs.len(), 1);
-        assert_eq!(cs.peek(Strategy::Lex).unwrap().production, 1);
-    }
-
-    #[test]
-    fn retract_wme_handles_duplicate_wmes_in_one_instantiation() {
-        // A WME matching two CEs appears twice in `wmes`; the WME index must
-        // register it once and retracting it must drop the entry cleanly.
-        let i = Instantiation::new(0, Box::new([WmeId(7), WmeId(7)]), Box::new([3, 3]), 2);
-        let mut cs = ConflictSet::new();
-        cs.insert(i);
-        assert_eq!(cs.len(), 1);
-        cs.retract_wme(WmeId(7));
-        assert_eq!(cs.len(), 0);
-        assert!(cs.select(Strategy::Lex).is_none());
-    }
-
-    #[test]
     fn selection_is_deterministic_under_full_ties() {
         let mut cs = ConflictSet::new();
         cs.insert(inst(2, &[5, 3], 4));
@@ -464,6 +470,108 @@ mod tests {
                 assert_eq!(winner, expect, "strategy {strategy:?}");
             }
             assert!(model.is_empty());
+        }
+    }
+    /// One step of the model test; pool indexes wrap around the pool.
+    #[derive(Clone, Debug)]
+    enum Op {
+        /// Insert a pool entry (re-inserting a present key replaces it).
+        Insert(usize),
+        /// Remove by a pool entry's key (absent keys are a no-op).
+        Remove(usize),
+        Select(Strategy),
+        Peek(Strategy),
+    }
+
+    fn strategy_of(mea: u8) -> Strategy {
+        if mea == 1 {
+            Strategy::Mea
+        } else {
+            Strategy::Lex
+        }
+    }
+
+    /// Instantiations over few productions, WMEs and specificities, so
+    /// keys collide, ties reach every tie-break, one WME can fill several
+    /// CEs and some instantiations bind no WME at all.
+    fn pool_strategy() -> impl proptest::Strategy<Value = Vec<Instantiation>> {
+        proptest::prop::collection::vec(
+            (
+                0u32..4,
+                proptest::prop::collection::vec(1u32..6, 0..4),
+                0u32..3,
+            ),
+            1..12,
+        )
+        .prop_map(|specs| {
+            specs
+                .into_iter()
+                .map(|(prod, ids, spec)| {
+                    let wmes: Box<[WmeId]> = ids.iter().map(|&i| WmeId(i)).collect();
+                    // A WME's tag is a function of its id, as in a store.
+                    let tags: Box<[TimeTag]> = ids.iter().map(|&i| u64::from(i) * 10).collect();
+                    Instantiation::new(prod, wmes, tags, spec)
+                })
+                .collect()
+        })
+    }
+
+    fn op_strategy() -> impl proptest::Strategy<Value = Op> {
+        proptest::prop_oneof![
+            4 => (0usize..64).prop_map(Op::Insert),
+            2 => (0usize..64).prop_map(Op::Remove),
+            2 => (0u8..2).prop_map(|m| Op::Select(strategy_of(m))),
+            1 => (0u8..2).prop_map(|m| Op::Peek(strategy_of(m))),
+        ]
+    }
+
+    proptest::proptest! {
+        /// Random insert/remove/select/peek sequences that switch strategy
+        /// as they go: every answer equals a linear maximum under
+        /// [`compare`] over a plain list of the present entries.
+        #[test]
+        fn conflict_set_matches_a_linear_model(
+            pool in pool_strategy(),
+            ops in proptest::prop::collection::vec(op_strategy(), 0..80),
+        ) {
+            let mut cs = ConflictSet::new();
+            let mut model: Vec<Instantiation> = Vec::new();
+            let key = |i: &Instantiation| (i.production, i.wmes.clone());
+            for op in ops {
+                match op {
+                    Op::Insert(i) => {
+                        let inst = pool[i % pool.len()].clone();
+                        model.retain(|m| key(m) != key(&inst));
+                        model.push(inst.clone());
+                        cs.insert(inst);
+                    }
+                    Op::Remove(i) => {
+                        let k = key(&pool[i % pool.len()]);
+                        let present = model.iter().any(|m| key(m) == k);
+                        model.retain(|m| key(m) != k);
+                        proptest::prop_assert_eq!(cs.remove(k.0, &k.1), present);
+                    }
+                    Op::Select(s) => {
+                        let best = model
+                            .iter()
+                            .enumerate()
+                            .max_by(|(_, a), (_, b)| compare(s, a, b))
+                            .map(|(at, _)| at);
+                        let want = best.map(|at| model.swap_remove(at));
+                        proptest::prop_assert_eq!(cs.select(s), want);
+                    }
+                    Op::Peek(s) => {
+                        let want = model.iter().max_by(|a, b| compare(s, a, b));
+                        proptest::prop_assert_eq!(cs.peek(s), want);
+                    }
+                }
+                proptest::prop_assert_eq!(cs.len(), model.len());
+                let mut got: Vec<_> = cs.iter().map(key).collect();
+                let mut want: Vec<_> = model.iter().map(key).collect();
+                got.sort();
+                want.sort();
+                proptest::prop_assert_eq!(got, want);
+            }
         }
     }
 }

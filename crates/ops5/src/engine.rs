@@ -2,6 +2,7 @@
 
 use crate::ast::{Action, Expr};
 use crate::conflict::{ConflictSet, Instantiation, Strategy};
+use crate::fxhash::FxHashMap;
 use crate::instrument::{cost, CycleStats, WorkCounters};
 use crate::matcher::{Matcher, NaiveMatcher};
 use crate::profile::{MatchProfile, ProductionProfile};
@@ -75,7 +76,7 @@ pub struct Engine {
     /// Accumulated interpreter work (match work lives in the matcher; use
     /// [`Engine::work`] for the merged view).
     base_work: WorkCounters,
-    externals: HashMap<Symbol, ExternalFn>,
+    externals: FxHashMap<Symbol, ExternalFn>,
     /// Named counters behind stateful external functions (id allocators),
     /// registered via [`Engine::external_counter`]. They are engine state in
     /// disguise — snapshots carry their values so a restored run allocates
@@ -89,6 +90,10 @@ pub struct Engine {
     halted: bool,
     /// Accumulated `write` output.
     pub output: String,
+    /// Reused buffers of the recognize–act cycle: the match events of one
+    /// WME change, and one firing's variable bindings.
+    events: Vec<MatchEvent>,
+    vals: Vec<Value>,
     cycle_log: Option<Vec<CycleStats>>,
     /// Matcher-work snapshot at the start of the cycle being logged (WM
     /// changes made outside the recognize–act loop — e.g. task set-up —
@@ -254,11 +259,13 @@ impl Engine {
             conflict: ConflictSet::new(),
             time: 0,
             base_work: WorkCounters::default(),
-            externals: HashMap::new(),
+            externals: FxHashMap::default(),
             ext_counters: Vec::new(),
             restored_counters: HashMap::new(),
             halted: false,
             output: String::new(),
+            events: Vec::new(),
+            vals: Vec::new(),
             cycle_log: None,
             log_snapshot: WorkCounters::default(),
             gensym: 0,
@@ -538,38 +545,32 @@ impl Engine {
     /// the PSM control process copies WMEs into task engines this way).
     /// A fresh local time tag is assigned.
     pub fn insert_fields(&mut self, class: Symbol, fields: Vec<Value>) -> WmeId {
-        self.time += 1;
-        let wme = Wme {
-            class,
-            fields: fields.into_boxed_slice(),
-            time_tag: self.time,
-        };
-        let id = self.wm.add(wme);
-        self.base_work.wme_adds += 1;
-        self.matcher.add_wme(id, &self.wm);
-        self.sync_conflict();
-        id
+        self.act().insert_fields(class, fields)
     }
 
     /// Removes a WME by id (no-op on dead ids).
     pub fn remove_wme_id(&mut self, id: WmeId) {
-        if self.wm.get(id).is_none() {
-            return;
-        }
-        self.matcher.remove_wme(id, &self.wm);
-        self.wm.remove(id);
-        self.base_work.wme_removes += 1;
-        self.sync_conflict();
+        self.act().remove_wme(id)
     }
 
-    fn sync_conflict(&mut self) {
-        for e in self.matcher.drain_events(&self.wm) {
-            match e {
-                MatchEvent::Insert(i) => self.conflict.insert(i),
-                MatchEvent::Retract { production, wmes } => {
-                    self.conflict.remove(production, &wmes);
-                }
-            }
+    /// Borrows the state a firing changes, field by field, beside the
+    /// shared program it only reads.
+    fn act(&mut self) -> Act<'_> {
+        Act {
+            program: &self.program,
+            compiled: &self.compiled,
+            matcher: &mut *self.matcher,
+            wm: &mut self.wm,
+            conflict: &mut self.conflict,
+            events: &mut self.events,
+            vals: &mut self.vals,
+            time: &mut self.time,
+            base_work: &mut self.base_work,
+            externals: &self.externals,
+            gensym: &mut self.gensym,
+            builtins: &self.builtins,
+            output: &mut self.output,
+            halted: &mut self.halted,
         }
     }
 
@@ -651,7 +652,7 @@ impl Engine {
         let prod_idx = inst.production;
         let act_before = self.base_work;
         // Act.
-        self.fire(&inst)?;
+        self.act().fire(&inst)?;
         self.base_work.firings += 1;
         if let Some(p) = &mut self.profile {
             let d = self.base_work.since(&act_before);
@@ -712,141 +713,6 @@ impl Engine {
         Ok(Some(prod_idx))
     }
 
-    /// Executes the RHS of `inst`.
-    fn fire(&mut self, inst: &Instantiation) -> Result<()> {
-        let cp = Arc::clone(&self.compiled);
-        let cp = &cp[inst.production as usize];
-        let prod = &Arc::clone(&self.program).productions[inst.production as usize];
-
-        // Extract variable bindings from the matched WMEs.
-        let mut vals = vec![Value::Nil; prod.n_vars as usize];
-        for (vid, src) in cp.var_sources.iter().enumerate() {
-            if let VarSource::Lhs { level, slot } = src {
-                let pos = cp
-                    .positive_levels
-                    .iter()
-                    .position(|l| l == level)
-                    .expect("binding level is positive");
-                if let Some(w) = self.wm.get(inst.wmes[pos]) {
-                    vals[vid] = w.get(*slot as usize);
-                }
-            }
-        }
-
-        for action in &prod.actions {
-            self.base_work.rhs_actions += 1;
-            self.base_work.act_units += cost::RHS_ACTION;
-            match action {
-                Action::Make { class, sets } => {
-                    let n = self
-                        .program
-                        .n_slots(*class)
-                        .expect("make class checked at parse time");
-                    let mut fields = vec![Value::Nil; n];
-                    for (slot, e) in sets {
-                        fields[*slot as usize] = self.eval(e, &vals)?;
-                    }
-                    self.insert_fields(*class, fields);
-                }
-                Action::Modify { ce, sets } => {
-                    let pos = cp.ce_to_positive[(*ce - 1) as usize]
-                        .expect("modify target is positive") as usize;
-                    let id = inst.wmes[pos];
-                    // OPS5 modify = remove + make with changed slots.
-                    let Some(old) = self.wm.get(id) else {
-                        // Already removed earlier in this RHS; OPS5 would
-                        // signal an error — we skip, deterministically.
-                        continue;
-                    };
-                    let class = old.class;
-                    let mut fields: Vec<Value> = old.fields.to_vec();
-                    // Evaluate first (expressions may read the old values
-                    // via variables), then swap.
-                    let mut newvals = Vec::with_capacity(sets.len());
-                    for (slot, e) in sets {
-                        newvals.push((*slot, self.eval(e, &vals)?));
-                    }
-                    for (slot, v) in newvals {
-                        fields[slot as usize] = v;
-                    }
-                    self.remove_wme_id(id);
-                    self.insert_fields(class, fields);
-                }
-                Action::Remove { ce } => {
-                    let pos = cp.ce_to_positive[(*ce - 1) as usize]
-                        .expect("remove target is positive") as usize;
-                    self.remove_wme_id(inst.wmes[pos]);
-                }
-                Action::Bind { var, expr } => {
-                    let v = self.eval(expr, &vals)?;
-                    vals[*var as usize] = v;
-                }
-                Action::Write { parts } => {
-                    let crlf = self.builtins.crlf;
-                    let mut first = true;
-                    let mut line = String::new();
-                    for p in parts {
-                        let v = self.eval(p, &vals)?;
-                        if v.as_sym() == Some(crlf) {
-                            line.push('\n');
-                            first = true;
-                            continue;
-                        }
-                        if !first {
-                            line.push(' ');
-                        }
-                        line.push_str(&v.to_string());
-                        first = false;
-                    }
-                    self.output.push_str(&line);
-                }
-                Action::Call { name, args } => {
-                    let mut argv = Vec::with_capacity(args.len());
-                    for a in args {
-                        argv.push(self.eval(a, &vals)?);
-                    }
-                    self.call_external(*name, &argv)?;
-                }
-                Action::Halt => {
-                    self.halted = true;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Evaluates an RHS expression, dispatching `(call ...)` sub-expressions
-    /// to the external registry.
-    fn eval(&mut self, expr: &Expr, vals: &[Value]) -> Result<Value> {
-        self.base_work.act_units += cost::RHS_EXPR;
-        match expr {
-            Expr::Call(name, args) => {
-                let mut argv = Vec::with_capacity(args.len());
-                for a in args {
-                    argv.push(self.eval(a, vals)?);
-                }
-                self.call_external(*name, &argv)
-            }
-            Expr::Compute(first, rest) => {
-                let mut acc = self.eval(first, vals)?;
-                for (op, e) in rest {
-                    let rhs = self.eval(e, vals)?;
-                    acc = crate::rhs::arith(*op, acc, rhs)?;
-                }
-                Ok(acc)
-            }
-            other => {
-                let mut nocall = |n: Symbol, _: &[Value]| -> Result<Value> {
-                    Err(Error::Runtime(format!("unexpected call {n}")))
-                };
-                let mut work = 0;
-                let v = eval_expr(other, vals, &mut nocall, &mut work);
-                self.base_work.act_units += work;
-                v
-            }
-        }
-    }
-
     /// Serializes the complete engine state — working memory (exact slot
     /// layout, time tags), conflict-set entry keys, recency/gensym counters,
     /// work counters, halt flag, and accumulated output — into the
@@ -901,7 +767,8 @@ impl Engine {
     ///
     /// Fails on checksum/format damage, on a program whose
     /// [`crate::snapshot::program_fingerprint`] differs from the embedded
-    /// one, and on a snapshot whose conflict keys the rebuild cannot
+    /// one, on a WME whose class or slot count the program does not
+    /// declare, and on a snapshot whose conflict keys the rebuild cannot
     /// reproduce (which indicates corruption that the checksum cannot see,
     /// e.g. a program recompiled with different semantics but equal shape).
     pub fn restore(
@@ -920,6 +787,19 @@ impl Engine {
             }
             .into());
         }
+        // Every live WME must fit the program's class layout: the match
+        // reads slots by the program's declarations.
+        for (i, w) in img.slots.iter().enumerate() {
+            let Some(w) = w else { continue };
+            if program.n_slots(w.class) != Some(w.fields.len()) {
+                return Err(crate::snapshot::SnapshotError::Corrupt(format!(
+                    "WME {i} ({}, {} slots) does not fit the program's classes",
+                    w.class,
+                    w.fields.len()
+                ))
+                .into());
+            }
+        }
         let mut e = Engine::with_compiled_config(program, compiled, config);
         e.strategy = img.strategy;
         e.wm = WmStore::from_slots(img.slots);
@@ -927,7 +807,7 @@ impl Engine {
         for id in ids {
             e.matcher.add_wme(id, &e.wm);
         }
-        e.sync_conflict();
+        e.act().sync_conflict();
         // Refraction pruning: drop rebuilt entries the snapshot no longer
         // held (they fired before the snapshot was taken).
         let keep: HashSet<(u32, Box<[WmeId]>)> = img.conflict.iter().cloned().collect();
@@ -956,14 +836,216 @@ impl Engine {
         e.matcher.take_chunks();
         Ok(e)
     }
+}
+
+/// The engine state one firing reads and changes, borrowed field by field
+/// from [`Engine`]: the shared program and its compiled productions are
+/// read in place — never cloned per firing — while the RHS changes
+/// working memory, the match and the conflict set.
+struct Act<'a> {
+    program: &'a Program,
+    compiled: &'a [CompiledProduction],
+    matcher: &'a mut dyn Matcher,
+    wm: &'a mut WmStore,
+    conflict: &'a mut ConflictSet,
+    events: &'a mut Vec<MatchEvent>,
+    vals: &'a mut Vec<Value>,
+    time: &'a mut TimeTag,
+    base_work: &'a mut WorkCounters,
+    externals: &'a FxHashMap<Symbol, ExternalFn>,
+    gensym: &'a mut u64,
+    builtins: &'a Builtins,
+    output: &'a mut String,
+    halted: &'a mut bool,
+}
+
+impl Act<'_> {
+    /// See [`Engine::insert_fields`].
+    fn insert_fields(&mut self, class: Symbol, fields: Vec<Value>) -> WmeId {
+        *self.time += 1;
+        let wme = Wme {
+            class,
+            fields: fields.into_boxed_slice(),
+            time_tag: *self.time,
+        };
+        let id = self.wm.add(wme);
+        self.base_work.wme_adds += 1;
+        self.matcher.add_wme(id, self.wm);
+        self.sync_conflict();
+        id
+    }
+
+    /// See [`Engine::remove_wme_id`].
+    fn remove_wme(&mut self, id: WmeId) {
+        if self.wm.get(id).is_none() {
+            return;
+        }
+        self.matcher.remove_wme(id, self.wm);
+        self.wm.remove(id);
+        self.base_work.wme_removes += 1;
+        self.sync_conflict();
+    }
+
+    /// Applies the matcher's pending events to the conflict set.
+    fn sync_conflict(&mut self) {
+        self.matcher.drain_events_into(self.wm, self.events);
+        for e in self.events.drain(..) {
+            match e {
+                MatchEvent::Insert(i) => self.conflict.insert(i),
+                MatchEvent::Retract { production, wmes } => {
+                    self.conflict.remove(production, &wmes);
+                }
+            }
+        }
+    }
+
+    /// Executes the RHS of `inst`.
+    fn fire(&mut self, inst: &Instantiation) -> Result<()> {
+        let compiled = self.compiled;
+        let program = self.program;
+        let cp = &compiled[inst.production as usize];
+        let prod = &program.productions[inst.production as usize];
+
+        // Extract variable bindings from the matched WMEs.
+        let mut vals = std::mem::take(self.vals);
+        vals.clear();
+        vals.resize(prod.n_vars as usize, Value::Nil);
+        for (vid, src) in cp.var_sources.iter().enumerate() {
+            if let VarSource::Lhs { level, slot } = src {
+                let pos = cp
+                    .positive_levels
+                    .iter()
+                    .position(|l| l == level)
+                    .expect("binding level is positive");
+                if let Some(w) = self.wm.get(inst.wmes[pos]) {
+                    vals[vid] = w.get(*slot as usize);
+                }
+            }
+        }
+        for action in &prod.actions {
+            self.base_work.rhs_actions += 1;
+            self.base_work.act_units += cost::RHS_ACTION;
+            match action {
+                Action::Make { class, sets } => {
+                    let n = program
+                        .n_slots(*class)
+                        .expect("make class checked at parse time");
+                    let mut fields = vec![Value::Nil; n];
+                    for (slot, e) in sets {
+                        fields[*slot as usize] = self.eval(e, &vals)?;
+                    }
+                    self.insert_fields(*class, fields);
+                }
+                Action::Modify { ce, sets } => {
+                    let pos = cp.ce_to_positive[(*ce - 1) as usize]
+                        .expect("modify target is positive") as usize;
+                    let id = inst.wmes[pos];
+                    // OPS5 modify = remove + make with changed slots.
+                    let Some(old) = self.wm.get(id) else {
+                        // Already removed earlier in this RHS; OPS5 would
+                        // signal an error — we skip, deterministically.
+                        continue;
+                    };
+                    let class = old.class;
+                    let mut fields: Vec<Value> = old.fields.to_vec();
+                    // Evaluate first (expressions may read the old values
+                    // via variables), then swap.
+                    let mut newvals = Vec::with_capacity(sets.len());
+                    for (slot, e) in sets {
+                        newvals.push((*slot, self.eval(e, &vals)?));
+                    }
+                    for (slot, v) in newvals {
+                        fields[slot as usize] = v;
+                    }
+                    self.remove_wme(id);
+                    self.insert_fields(class, fields);
+                }
+                Action::Remove { ce } => {
+                    let pos = cp.ce_to_positive[(*ce - 1) as usize]
+                        .expect("remove target is positive") as usize;
+                    self.remove_wme(inst.wmes[pos]);
+                }
+                Action::Bind { var, expr } => {
+                    let v = self.eval(expr, &vals)?;
+                    vals[*var as usize] = v;
+                }
+                Action::Write { parts } => {
+                    let crlf = self.builtins.crlf;
+                    let mut first = true;
+                    let mut line = String::new();
+                    for p in parts {
+                        let v = self.eval(p, &vals)?;
+                        if v.as_sym() == Some(crlf) {
+                            line.push('\n');
+                            first = true;
+                            continue;
+                        }
+                        if !first {
+                            line.push(' ');
+                        }
+                        line.push_str(&v.to_string());
+                        first = false;
+                    }
+                    self.output.push_str(&line);
+                }
+                Action::Call { name, args } => {
+                    let mut argv = Vec::with_capacity(args.len());
+                    for a in args {
+                        argv.push(self.eval(a, &vals)?);
+                    }
+                    self.call_external(*name, &argv)?;
+                }
+                Action::Halt => {
+                    *self.halted = true;
+                }
+            }
+        }
+        // The buffer goes back for the next firing (an error path drops
+        // it; the next firing then allocates a new one).
+        *self.vals = vals;
+        Ok(())
+    }
+
+    /// Evaluates an RHS expression, dispatching `(call ...)` sub-expressions
+    /// to the external registry.
+    fn eval(&mut self, expr: &Expr, vals: &[Value]) -> Result<Value> {
+        self.base_work.act_units += cost::RHS_EXPR;
+        match expr {
+            Expr::Call(name, args) => {
+                let mut argv = Vec::with_capacity(args.len());
+                for a in args {
+                    argv.push(self.eval(a, vals)?);
+                }
+                self.call_external(*name, &argv)
+            }
+            Expr::Compute(first, rest) => {
+                let mut acc = self.eval(first, vals)?;
+                for (op, e) in rest {
+                    let rhs = self.eval(e, vals)?;
+                    acc = crate::rhs::arith(*op, acc, rhs)?;
+                }
+                Ok(acc)
+            }
+            other => {
+                let mut nocall = |n: Symbol, _: &[Value]| -> Result<Value> {
+                    Err(Error::Runtime(format!("unexpected call {n}")))
+                };
+                let mut work = 0;
+                let v = eval_expr(other, vals, &mut nocall, &mut work);
+                self.base_work.act_units += work;
+                v
+            }
+        }
+    }
 
     fn call_external(&mut self, name: Symbol, args: &[Value]) -> Result<Value> {
         // Builtin: genatom — a fresh unique symbol.
         if name == self.builtins.genatom {
-            self.gensym += 1;
+            *self.gensym += 1;
             return Ok(Value::Sym(sym(&format!("g#{}", self.gensym))));
         }
-        let Some(f) = self.externals.get(&name).cloned() else {
+        let externals = self.externals;
+        let Some(f) = externals.get(&name) else {
             return Err(Error::Runtime(format!(
                 "unknown external function '{name}'"
             )));
@@ -974,14 +1056,14 @@ impl Engine {
         if !eff.output.is_empty() {
             self.output.push_str(&eff.output);
         }
+        let program = self.program;
         for (class, sets) in eff.makes {
-            let n = self
-                .program
+            let n = program
                 .n_slots(class)
                 .ok_or_else(|| Error::Runtime(format!("external make: unknown class '{class}'")))?;
             let mut fields = vec![Value::Nil; n];
             for (attr, v) in sets {
-                let slot = self.program.slot_of(class, attr).ok_or_else(|| {
+                let slot = program.slot_of(class, attr).ok_or_else(|| {
                     Error::Runtime(format!("external make: no attribute '{attr}' on '{class}'"))
                 })?;
                 fields[slot as usize] = v;
@@ -989,7 +1071,7 @@ impl Engine {
             self.insert_fields(class, fields);
         }
         if eff.halt {
-            self.halted = true;
+            *self.halted = true;
         }
         Ok(ret.unwrap_or(Value::Nil))
     }

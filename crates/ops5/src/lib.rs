@@ -66,6 +66,7 @@
 pub mod ast;
 pub mod conflict;
 pub mod engine;
+mod fxhash;
 pub mod instrument;
 pub mod lexer;
 pub mod matcher;

@@ -28,6 +28,13 @@ pub trait Matcher: Send {
     fn remove_wme(&mut self, id: WmeId, wm: &WmStore);
     /// Returns conflict-set changes accumulated since the last call.
     fn drain_events(&mut self, wm: &WmStore) -> Vec<MatchEvent>;
+    /// Like [`drain_events`](Self::drain_events), but appends the changes
+    /// to `out`, so the engine can drain every WME change into one reused
+    /// buffer. Backends that keep their own event buffer override it to
+    /// hand the events over without allocating.
+    fn drain_events_into(&mut self, wm: &WmStore, out: &mut Vec<MatchEvent>) {
+        out.append(&mut self.drain_events(wm));
+    }
     /// Number of independently schedulable match activations since the last
     /// call (the ParaOPS5 subtask count).
     fn take_chunks(&mut self) -> u32;
@@ -79,6 +86,9 @@ impl Matcher for Rete {
     }
     fn drain_events(&mut self, _wm: &WmStore) -> Vec<MatchEvent> {
         Rete::drain_events(self)
+    }
+    fn drain_events_into(&mut self, _wm: &WmStore, out: &mut Vec<MatchEvent>) {
+        Rete::drain_events_into(self, out)
     }
     fn take_chunks(&mut self) -> u32 {
         Rete::take_chunks(self)

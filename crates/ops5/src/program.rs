@@ -2,9 +2,9 @@
 
 use crate::ast::{Production, SlotIdx};
 use crate::conflict::Strategy;
+use crate::fxhash::FxHashMap;
 use crate::symbol::{sym, Symbol};
 use crate::{Error, Result};
-use std::collections::HashMap;
 
 /// Per-class information from a `literalize` declaration.
 #[derive(Clone, Debug)]
@@ -13,7 +13,7 @@ pub struct ClassInfo {
     pub name: Symbol,
     /// Attribute names in slot order.
     pub attrs: Vec<Symbol>,
-    slots: HashMap<Symbol, SlotIdx>,
+    slots: FxHashMap<Symbol, SlotIdx>,
 }
 
 impl ClassInfo {
@@ -41,7 +41,7 @@ impl ClassInfo {
 /// A parsed OPS5 program: class declarations and productions.
 #[derive(Clone, Debug, Default)]
 pub struct Program {
-    classes: HashMap<Symbol, ClassInfo>,
+    classes: FxHashMap<Symbol, ClassInfo>,
     /// Compiled productions in source order.
     pub productions: Vec<Production>,
     /// Conflict-resolution strategy (`(strategy lex)` / `(strategy mea)`;

@@ -12,11 +12,11 @@
 
 use super::compile::{eval_alpha, AlphaTest};
 use crate::ast::SlotIdx;
+use crate::fxhash::FxHashMap;
 use crate::instrument::cost;
 use crate::profile::AlphaMemCounters;
 use crate::symbol::Symbol;
 use crate::wme::{Wme, WmeId};
-use std::collections::HashMap;
 
 /// Identifier of an alpha memory.
 pub type AlphaMemId = u32;
@@ -35,7 +35,7 @@ pub struct Successor {
 #[derive(Clone, Debug)]
 struct SlotIndex {
     slot: SlotIdx,
-    buckets: HashMap<u64, Vec<WmeId>>,
+    buckets: FxHashMap<u64, Vec<WmeId>>,
 }
 
 /// One alpha memory: a constant-test pattern plus the set of WMEs passing it.
@@ -60,7 +60,7 @@ pub struct AlphaMemory {
 #[derive(Clone, Debug)]
 pub struct AlphaNetwork {
     mems: Vec<AlphaMemory>,
-    by_class: HashMap<Symbol, Vec<AlphaMemId>>,
+    by_class: FxHashMap<Symbol, Vec<AlphaMemId>>,
     /// Every distinct constant test in the program, shared across memories.
     test_registry: Vec<AlphaTest>,
     /// When true, classification memoises each registry test per WME and
@@ -98,7 +98,7 @@ impl AlphaNetwork {
     pub fn with_sharing(share_tests: bool) -> Self {
         AlphaNetwork {
             mems: Vec::new(),
-            by_class: HashMap::new(),
+            by_class: FxHashMap::default(),
             test_registry: Vec::new(),
             share_tests,
             memo: Vec::new(),
@@ -178,7 +178,7 @@ impl AlphaNetwork {
         if !mem.indexes.iter().any(|ix| ix.slot == slot) {
             mem.indexes.push(SlotIndex {
                 slot,
-                buckets: HashMap::new(),
+                buckets: FxHashMap::default(),
             });
         }
     }
@@ -211,13 +211,18 @@ impl AlphaNetwork {
         self.profile = None;
     }
 
-    /// Classifies a new WME into its memories, returning the activated
-    /// memory ids and accumulating the match cost in `work_units`.
-    pub fn classify_add(&mut self, id: WmeId, wme: &Wme, work_units: &mut u64) -> Vec<AlphaMemId> {
-        let mut hit = Vec::new();
+    /// Classifies a new WME into its memories, appending the activated
+    /// memory ids to `hit` and accumulating the match cost in `work_units`.
+    pub fn classify_add(
+        &mut self,
+        id: WmeId,
+        wme: &Wme,
+        work_units: &mut u64,
+        hit: &mut Vec<AlphaMemId>,
+    ) {
         self.generation += 1;
         let Some(ids) = self.by_class.get(&wme.class) else {
-            return hit;
+            return;
         };
         for &m in ids {
             let mem = &mut self.mems[m as usize];
@@ -265,18 +270,17 @@ impl AlphaNetwork {
                 }
             }
         }
-        hit
     }
 
-    /// Removes a WME from every memory containing it, returning the memory
-    /// ids it was removed from.
+    /// Removes a WME from every memory containing it, appending the ids of
+    /// those memories to `hit`.
     pub fn classify_remove(
         &mut self,
         id: WmeId,
         wme: &Wme,
         work_units: &mut u64,
-    ) -> Vec<AlphaMemId> {
-        let mut hit = Vec::new();
+        hit: &mut Vec<AlphaMemId>,
+    ) {
         if let Some(ids) = self.by_class.get(&wme.class) {
             for &m in ids {
                 let mem = &mut self.mems[m as usize];
@@ -304,7 +308,6 @@ impl AlphaNetwork {
                 }
             }
         }
-        hit
     }
 
     /// Starts collecting per-memory profiling counters (resetting any
@@ -331,6 +334,13 @@ mod tests {
     use crate::rete::compile::AlphaArg;
     use crate::symbol::sym;
     use crate::value::Value;
+
+    /// The memories `classify_add` activates for one WME.
+    fn add(net: &mut AlphaNetwork, id: u32, w: &Wme, units: &mut u64) -> Vec<AlphaMemId> {
+        let mut hit = Vec::new();
+        net.classify_add(WmeId(id), w, units, &mut hit);
+        hit
+    }
 
     fn test_gt(slot: u16, v: i64) -> AlphaTest {
         AlphaTest {
@@ -366,16 +376,17 @@ mod tests {
         let mut w = Wme::new(c, 1, 1);
         w.set(0, Value::Int(500));
         let mut units = 0;
-        let hit = net.classify_add(WmeId(0), &w, &mut units);
+        let hit = add(&mut net, 0, &w, &mut units);
         assert_eq!(hit, vec![big, any]);
         assert!(units > 0);
 
         let mut small = Wme::new(c, 1, 2);
         small.set(0, Value::Int(5));
-        let hit = net.classify_add(WmeId(1), &small, &mut units);
+        let hit = add(&mut net, 1, &small, &mut units);
         assert_eq!(hit, vec![any]);
 
-        let removed = net.classify_remove(WmeId(0), &w, &mut units);
+        let mut removed = Vec::new();
+        net.classify_remove(WmeId(0), &w, &mut units, &mut removed);
         assert_eq!(removed, vec![big, any]);
         assert_eq!(net.mem(big).wmes.len(), 0);
         assert_eq!(net.mem(any).wmes, vec![WmeId(1)]);
@@ -388,7 +399,7 @@ mod tests {
         net.get_or_create(sym("region"), &[], succ);
         let w = Wme::new(sym("fragment"), 1, 1);
         let mut units = 0;
-        assert!(net.classify_add(WmeId(0), &w, &mut units).is_empty());
+        assert!(add(&mut net, 0, &w, &mut units).is_empty());
     }
 
     #[test]
@@ -410,8 +421,8 @@ mod tests {
         w.set(1, Value::Int(9));
         let (mut su, mut uu) = (0u64, 0u64);
         assert_eq!(
-            shared.classify_add(WmeId(0), &w, &mut su),
-            unshared.classify_add(WmeId(0), &w, &mut uu),
+            add(&mut shared, 0, &w, &mut su),
+            add(&mut unshared, 0, &w, &mut uu),
             "sharing never changes classification"
         );
         assert_eq!(shared.shared_test_hits, 1, "`>5` memoised for memory 2");
@@ -421,8 +432,8 @@ mod tests {
         let mut w2 = Wme::new(c, 2, 2);
         w2.set(0, Value::Int(1));
         let (mut su2, mut uu2) = (0u64, 0u64);
-        assert!(shared.classify_add(WmeId(1), &w2, &mut su2).is_empty());
-        assert!(unshared.classify_add(WmeId(1), &w2, &mut uu2).is_empty());
+        assert!(add(&mut shared, 1, &w2, &mut su2).is_empty());
+        assert!(add(&mut unshared, 1, &w2, &mut uu2).is_empty());
         assert_eq!(su2, uu2 - cost::ALPHA_TEST);
     }
 
@@ -438,7 +449,7 @@ mod tests {
         for (i, v) in [(0u32, 7i64), (1, 7), (2, 8)] {
             let mut w = Wme::new(c, 1, i as u64 + 1);
             w.set(0, Value::Int(v));
-            net.classify_add(WmeId(i), &w, &mut units);
+            add(&mut net, i, &w, &mut units);
         }
         let key7 = Value::Int(7).hash_key();
         assert_eq!(net.probe(m, 0, key7), &[WmeId(0), WmeId(1)]);
@@ -448,7 +459,7 @@ mod tests {
 
         let mut w = Wme::new(c, 1, 1);
         w.set(0, Value::Int(7));
-        net.classify_remove(WmeId(0), &w, &mut units);
+        net.classify_remove(WmeId(0), &w, &mut units, &mut Vec::new());
         assert_eq!(net.probe(m, 0, key7), &[WmeId(1)]);
     }
 }

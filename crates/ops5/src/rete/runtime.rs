@@ -33,12 +33,12 @@ use super::alpha::{AlphaMemId, AlphaNetwork, Successor};
 use super::compile::{compile_production, ChainNodeSpec, CompiledProduction, JoinTest};
 use crate::ast::Predicate;
 use crate::conflict::Instantiation;
+use crate::fxhash::FxHashMap;
 use crate::instrument::{cost, WorkCounters};
 use crate::profile::{AlphaMemProfile, ChainCounters, MatchProfile, NetStats, ProductionProfile};
 use crate::program::Program;
 use crate::wme::{WmStore, WmeId};
 use crate::Result;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 const DUMMY: u32 = u32::MAX;
@@ -117,6 +117,53 @@ struct TokenData {
     alive: bool,
 }
 
+/// Chain depth whose ancestry fits on the stack; deeper chains spill to
+/// the heap, so chain depth has no limit. (The SPAM rule base is at most
+/// five condition elements deep.)
+const INLINE_DEPTH: usize = 8;
+
+/// The WME ids of a token's chain, indexed by node level (`None` at
+/// negative-node levels): a stack buffer up to [`INLINE_DEPTH`] levels, a
+/// `Vec` beyond.
+enum Ancestry {
+    Inline {
+        len: usize,
+        slots: [Option<WmeId>; INLINE_DEPTH],
+    },
+    Spilled(Vec<Option<WmeId>>),
+}
+
+impl Ancestry {
+    fn with_depth(len: usize) -> Ancestry {
+        if len <= INLINE_DEPTH {
+            Ancestry::Inline {
+                len,
+                slots: [None; INLINE_DEPTH],
+            }
+        } else {
+            Ancestry::Spilled(vec![None; len])
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [Option<WmeId>] {
+        match self {
+            Ancestry::Inline { len, slots } => &mut slots[..*len],
+            Ancestry::Spilled(v) => v,
+        }
+    }
+}
+
+impl std::ops::Deref for Ancestry {
+    type Target = [Option<WmeId>];
+
+    fn deref(&self) -> &[Option<WmeId>] {
+        match self {
+            Ancestry::Inline { len, slots } => &slots[..*len],
+            Ancestry::Spilled(v) => v,
+        }
+    }
+}
+
 /// One beta node of the (possibly shared) network trie.
 #[derive(Clone, Debug)]
 struct BetaNode {
@@ -142,9 +189,9 @@ struct BetaNode {
     /// pair against (the parent's residents for positive nodes, this node's
     /// own residents for negative nodes), keyed by the token-side value of
     /// `join_tests[key_test]`.
-    right_index: HashMap<u64, Vec<u32>>,
+    right_index: FxHashMap<u64, Vec<u32>>,
     /// For negative nodes: blocker WME → tokens it currently blocks.
-    blocked_by: HashMap<WmeId, Vec<u32>>,
+    blocked_by: FxHashMap<WmeId, Vec<u32>>,
 }
 
 /// The Rete network of one engine instance.
@@ -158,8 +205,16 @@ pub struct Rete {
     n_productions: usize,
     tokens: Vec<TokenData>,
     free: Vec<u32>,
-    wme_tokens: HashMap<WmeId, Vec<u32>>,
+    /// WME → tokens carrying it, indexed by [`WmeId`] (store ids are dense
+    /// and never reused within a run).
+    wme_tokens: Vec<Vec<u32>>,
     events: Vec<MatchEvent>,
+    /// Reused buffers: the alpha memories one WME activates, and stacks of
+    /// token-id and WME-id candidate lists (activations nest, so each
+    /// level takes its own and gives it back).
+    mem_buf: Vec<AlphaMemId>,
+    token_bufs: Vec<Vec<u32>>,
+    wme_bufs: Vec<Vec<WmeId>>,
     /// Accumulated match work.
     pub work: WorkCounters,
     chunks: u32,
@@ -215,8 +270,11 @@ impl Rete {
                 .unwrap_or(0),
             tokens: Vec::new(),
             free: Vec::new(),
-            wme_tokens: HashMap::new(),
+            wme_tokens: Vec::new(),
             events: Vec::new(),
+            mem_buf: Vec::new(),
+            token_bufs: Vec::new(),
+            wme_bufs: Vec::new(),
             work: WorkCounters::default(),
             chunks: 0,
             stats: NetStats::default(),
@@ -286,8 +344,8 @@ impl Rete {
             n_prods: 1,
             rep_prod: prod,
             tokens: Vec::new(),
-            right_index: HashMap::new(),
-            blocked_by: HashMap::new(),
+            right_index: FxHashMap::default(),
+            blocked_by: FxHashMap::default(),
         });
         let am = self
             .alpha
@@ -358,6 +416,12 @@ impl Rete {
         std::mem::take(&mut self.events)
     }
 
+    /// Moves the pending conflict-set events onto the end of `out`, keeping
+    /// this network's event buffer (and its capacity) for the next batch.
+    pub(crate) fn drain_events_into(&mut self, out: &mut Vec<MatchEvent>) {
+        out.append(&mut self.events);
+    }
+
     /// Number of independently schedulable match activations since the last
     /// call (feeds the ParaOPS5 match-parallelism cost model).
     pub fn take_chunks(&mut self) -> u32 {
@@ -426,10 +490,12 @@ impl Rete {
     pub fn add_wme(&mut self, id: WmeId, wm: &WmStore) {
         let wme = wm.get(id).expect("add_wme: wme must be live");
         self.chunks += 1;
-        let mems = self.alpha.classify_add(id, wme, &mut self.work.match_units);
-        for m in mems {
-            let succs = self.alpha.mem(m).successors.clone();
-            for s in succs {
+        let mut mems = std::mem::take(&mut self.mem_buf);
+        self.alpha
+            .classify_add(id, wme, &mut self.work.match_units, &mut mems);
+        for &m in &mems {
+            for si in 0..self.alpha.mem(m).successors.len() {
+                let s = self.alpha.mem(m).successors[si];
                 let before = self.work.match_units;
                 self.right_activate_add(s.node, id, wm);
                 if let Some(p) = &mut self.profile {
@@ -437,6 +503,8 @@ impl Rete {
                 }
             }
         }
+        mems.clear();
+        self.mem_buf = mems;
     }
 
     /// Processes a WME removal. Must be called while `id` is still live in
@@ -444,14 +512,14 @@ impl Rete {
     pub fn remove_wme(&mut self, id: WmeId, wm: &WmStore) {
         let wme = wm.get(id).expect("remove_wme: wme must still be live");
         self.chunks += 1;
-        let mems = self
-            .alpha
-            .classify_remove(id, wme, &mut self.work.match_units);
+        let mut mems = std::mem::take(&mut self.mem_buf);
+        self.alpha
+            .classify_remove(id, wme, &mut self.work.match_units, &mut mems);
         // Negative nodes first: unblock tokens whose blocker disappeared
         // (found through the blocker→tokens map, not a token scan).
-        for m in mems {
-            let succs = self.alpha.mem(m).successors.clone();
-            for s in succs {
+        for &m in &mems {
+            for si in 0..self.alpha.mem(m).successors.len() {
+                let s = self.alpha.mem(m).successors[si];
                 if !self.nodes[s.node as usize].negated {
                     continue;
                 }
@@ -482,33 +550,39 @@ impl Rete {
                 }
             }
         }
+        mems.clear();
+        self.mem_buf = mems;
         // Then delete every token whose own WME is the removed one.
-        if let Some(toks) = self.wme_tokens.remove(&id) {
-            for t in toks {
-                let node = self.tokens[t as usize].node;
-                let before = self.work.match_units;
-                self.delete_token(t);
-                if let Some(p) = &mut self.profile {
-                    p.nodes[node as usize].match_units += self.work.match_units - before;
-                }
+        let toks = self
+            .wme_tokens
+            .get_mut(id.0 as usize)
+            .map(std::mem::take)
+            .unwrap_or_default();
+        for t in toks {
+            let node = self.tokens[t as usize].node;
+            let before = self.work.match_units;
+            self.delete_token(t);
+            if let Some(p) = &mut self.profile {
+                p.nodes[node as usize].match_units += self.work.match_units - before;
             }
         }
     }
 
     // -- internals ---------------------------------------------------------
 
-    /// The token population a right activation of `n` pairs against: the
-    /// parent's residents for positive nodes, `n`'s own for negative nodes.
-    /// Returns indexed candidates (charging the probe) when `n` has a key
-    /// test, else a linear clone of the population (counted as a scan).
-    fn right_candidates(&mut self, n: u32, w: WmeId, wm: &WmStore) -> Vec<u32> {
+    /// Fills `out` with the token population a right activation of `n`
+    /// pairs against: the parent's residents for positive nodes, `n`'s own
+    /// for negative nodes. Takes the indexed candidates (charging the
+    /// probe) when `n` has a key test, else the whole population (counted
+    /// as a scan).
+    fn right_candidates(&mut self, n: u32, w: WmeId, wm: &WmStore, out: &mut Vec<u32>) {
         let node = &self.nodes[n as usize];
         let population = if node.negated {
             &node.tokens
         } else {
             match node.parent {
                 Some(p) => &self.nodes[p as usize].tokens,
-                None => return Vec::new(),
+                None => return,
             }
         };
         if let (Some(kt), true) = (node.key_test, population.len() >= INDEX_MIN_POPULATION) {
@@ -519,20 +593,25 @@ impl Rete {
                 .unwrap_or_default();
             self.work.match_units += cost::INDEX_PROBE;
             self.stats.index_probes += 1;
-            return self.nodes[n as usize]
-                .right_index
-                .get(&key)
-                .cloned()
-                .unwrap_or_default();
+            if let Some(bucket) = node.right_index.get(&key) {
+                out.extend_from_slice(bucket);
+            }
+            return;
         }
         self.stats.linear_scans += 1;
-        population.clone()
+        out.extend_from_slice(population);
     }
 
-    /// Candidate WMEs for pairing token `t` (ancestry `anc`) against node
-    /// `n`'s alpha memory: an indexed probe when possible, else the full
-    /// memory (counted as a scan).
-    fn left_candidates(&mut self, n: u32, anc: &[Option<WmeId>], wm: &WmStore) -> Vec<WmeId> {
+    /// Fills `out` with the candidate WMEs for pairing a token (ancestry
+    /// `anc`) against node `n`'s alpha memory: an indexed probe when
+    /// possible, else the full memory (counted as a scan).
+    fn left_candidates(
+        &mut self,
+        n: u32,
+        anc: &[Option<WmeId>],
+        wm: &WmStore,
+        out: &mut Vec<WmeId>,
+    ) {
         let node = &self.nodes[n as usize];
         let population = self.alpha.mem(node.alpha_mem).wmes.len();
         if let Some(kt) = node.key_test {
@@ -540,16 +619,16 @@ impl Rete {
                 let test = node.join_tests[kt];
                 self.work.match_units += cost::INDEX_PROBE;
                 self.stats.index_probes += 1;
-                return match token_side_key(anc, &test, wm) {
-                    Some(key) => self.alpha.probe(node.alpha_mem, test.my_slot, key).to_vec(),
-                    // The referenced ancestor is gone; no candidate could
-                    // pass the full tests either.
-                    None => Vec::new(),
-                };
+                // An unavailable referenced ancestor yields no key; no
+                // candidate could pass the full tests either.
+                if let Some(key) = token_side_key(anc, &test, wm) {
+                    out.extend_from_slice(self.alpha.probe(node.alpha_mem, test.my_slot, key));
+                }
+                return;
             }
         }
         self.stats.linear_scans += 1;
-        self.alpha.mem(node.alpha_mem).wmes.clone()
+        out.extend_from_slice(&self.alpha.mem(node.alpha_mem).wmes);
     }
 
     fn right_activate_add(&mut self, n: u32, w: WmeId, wm: &WmStore) {
@@ -561,16 +640,17 @@ impl Rete {
             p.nodes[n as usize].activations += 1;
         }
         let negated = self.nodes[n as usize].negated;
-        let tests = self.nodes[n as usize].join_tests.clone();
+        let test_units = self.nodes[n as usize].join_tests.len() as u64 * cost::JOIN_TEST;
         if negated {
-            let toks = self.right_candidates(n, w, wm);
-            for t in toks {
+            let mut toks = self.token_bufs.pop().unwrap_or_default();
+            self.right_candidates(n, w, wm, &mut toks);
+            for &t in &toks {
                 if !self.tokens[t as usize].alive {
                     continue;
                 }
                 let anc = self.ancestors(t);
-                self.work.match_units += tests.len() as u64 * cost::JOIN_TEST;
-                if eval_tests(&tests, &anc, w, wm) {
+                self.work.match_units += test_units;
+                if eval_tests(&self.nodes[n as usize].join_tests, &anc, w, wm) {
                     let nr = &mut self.tokens[t as usize].neg_results;
                     // The token may already hold `w` when it was created
                     // during this very addition (its initial blocker scan
@@ -589,16 +669,19 @@ impl Rete {
                     }
                 }
             }
+            toks.clear();
+            self.token_bufs.push(toks);
         } else if self.nodes[n as usize].level == 0 {
-            debug_assert!(tests.is_empty(), "first node has no join tests");
+            debug_assert_eq!(test_units, 0, "first node has no join tests");
             self.new_token(n, DUMMY, Some(w), wm);
         } else {
             let parent_negated = self.nodes[n as usize]
                 .parent
                 .map(|p| self.nodes[p as usize].negated)
                 .unwrap_or(false);
-            let parents = self.right_candidates(n, w, wm);
-            for t in parents {
+            let mut parents = self.token_bufs.pop().unwrap_or_default();
+            self.right_candidates(n, w, wm, &mut parents);
+            for &t in &parents {
                 if !self.tokens[t as usize].alive {
                     continue;
                 }
@@ -606,11 +689,13 @@ impl Rete {
                     continue; // blocked parents have no output
                 }
                 let anc = self.ancestors(t);
-                self.work.match_units += tests.len() as u64 * cost::JOIN_TEST;
-                if eval_tests(&tests, &anc, w, wm) {
+                self.work.match_units += test_units;
+                if eval_tests(&self.nodes[n as usize].join_tests, &anc, w, wm) {
                     self.new_token(n, t, Some(w), wm);
                 }
             }
+            parents.clear();
+            self.token_bufs.push(parents);
         }
     }
 
@@ -625,7 +710,11 @@ impl Rete {
         }
         self.nodes[n as usize].tokens.push(id);
         if let Some(w) = wme {
-            self.wme_tokens.entry(w).or_default().push(id);
+            let at = w.0 as usize;
+            if at >= self.wme_tokens.len() {
+                self.wme_tokens.resize_with(at + 1, Vec::new);
+            }
+            self.wme_tokens[at].push(id);
         }
         if parent != DUMMY {
             self.tokens[parent as usize].children.push(id);
@@ -636,33 +725,23 @@ impl Rete {
         }
         if self.nodes[n as usize].negated {
             // Compute the initial blocker set.
-            let tests = self.nodes[n as usize].join_tests.clone();
-            let cands = if self.nodes[n as usize].key_test.is_some() {
-                self.left_candidates(n, &anc, wm)
-            } else {
-                self.stats.linear_scans += 1;
-                self.alpha
-                    .mem(self.nodes[n as usize].alpha_mem)
-                    .wmes
-                    .clone()
-            };
-            self.work.match_units += (cands.len() * tests.len().max(1)) as u64 * cost::JOIN_TEST;
-            let mut blockers = Vec::new();
-            for w in cands {
-                if eval_tests(&tests, &anc, w, wm) {
-                    blockers.push(w);
+            let mut cands = self.wme_bufs.pop().unwrap_or_default();
+            self.left_candidates(n, &anc, wm, &mut cands);
+            let tests = self.nodes[n as usize].join_tests.len().max(1);
+            self.work.match_units += (cands.len() * tests) as u64 * cost::JOIN_TEST;
+            for &w in &cands {
+                if eval_tests(&self.nodes[n as usize].join_tests, &anc, w, wm) {
+                    self.nodes[n as usize]
+                        .blocked_by
+                        .entry(w)
+                        .or_default()
+                        .push(id);
+                    self.tokens[id as usize].neg_results.push(w);
                 }
             }
-            let blocked = !blockers.is_empty();
-            for &w in &blockers {
-                self.nodes[n as usize]
-                    .blocked_by
-                    .entry(w)
-                    .or_default()
-                    .push(id);
-            }
-            self.tokens[id as usize].neg_results = blockers;
-            if blocked {
+            cands.clear();
+            self.wme_bufs.push(cands);
+            if !self.tokens[id as usize].neg_results.is_empty() {
                 return;
             }
         }
@@ -673,35 +752,37 @@ impl Rete {
     /// indexes that cover `n`'s resident population: `n`'s own index when
     /// `n` is negative, and the index of every positive keyed child.
     fn register_token_indexes(&mut self, id: u32, n: u32, anc: &[Option<WmeId>], wm: &WmStore) {
-        let mut regs: Vec<(u32, u64)> = Vec::new();
-        {
-            let node = &self.nodes[n as usize];
-            if node.negated {
-                if let Some(kt) = node.key_test {
-                    if let Some(key) = token_side_key(anc, &node.join_tests[kt], wm) {
-                        regs.push((n, key));
-                    }
-                }
-            }
-            for &c in &node.children {
-                let cn = &self.nodes[c as usize];
-                if !cn.negated {
-                    if let Some(kt) = cn.key_test {
-                        if let Some(key) = token_side_key(anc, &cn.join_tests[kt], wm) {
-                            regs.push((c, key));
-                        }
-                    }
+        let node = &self.nodes[n as usize];
+        if node.negated {
+            if let Some(kt) = node.key_test {
+                if let Some(key) = token_side_key(anc, &node.join_tests[kt], wm) {
+                    self.register_index(n, key, id);
                 }
             }
         }
-        for &(nd, key) in &regs {
-            self.nodes[nd as usize]
-                .right_index
-                .entry(key)
-                .or_default()
-                .push(id);
+        for ci in 0..self.nodes[n as usize].children.len() {
+            let c = self.nodes[n as usize].children[ci];
+            let cn = &self.nodes[c as usize];
+            if cn.negated {
+                continue;
+            }
+            if let Some(kt) = cn.key_test {
+                if let Some(key) = token_side_key(anc, &cn.join_tests[kt], wm) {
+                    self.register_index(c, key, id);
+                }
+            }
         }
-        self.tokens[id as usize].index_keys = regs;
+    }
+
+    /// Files token `id` under `key` in node `nd`'s right index, recording
+    /// the registration on the token so deletion can undo it.
+    fn register_index(&mut self, nd: u32, key: u64, id: u32) {
+        self.nodes[nd as usize]
+            .right_index
+            .entry(key)
+            .or_default()
+            .push(id);
+        self.tokens[id as usize].index_keys.push((nd, key));
     }
 
     /// Token `t` is active at node `n`: emit its terminals and feed the
@@ -711,8 +792,15 @@ impl Rete {
         if !self.nodes[n as usize].terminals.is_empty() {
             self.emit_insert(n, t, wm);
         }
-        let children = self.nodes[n as usize].children.clone();
-        for c in children {
+        if self.nodes[n as usize].children.is_empty() {
+            return;
+        }
+        // Left activations create tokens below `n` only, so `t`'s chain —
+        // and with it its ancestry — is fixed for the whole loop.
+        let anc = self.ancestors(t);
+        let mut cands = self.wme_bufs.pop().unwrap_or_default();
+        for ci in 0..self.nodes[n as usize].children.len() {
+            let c = self.nodes[n as usize].children[ci];
             self.chunks += 1;
             if self.nodes[c as usize].n_prods > 1 {
                 self.stats.shared_node_hits += 1;
@@ -723,26 +811,32 @@ impl Rete {
             if self.nodes[c as usize].negated {
                 self.new_token(c, t, None, wm);
             } else {
-                let tests = self.nodes[c as usize].join_tests.clone();
-                let anc = self.ancestors(t);
-                let cands = self.left_candidates(c, &anc, wm);
-                for w in cands {
-                    self.work.match_units += tests.len() as u64 * cost::JOIN_TEST;
-                    if eval_tests(&tests, &anc, w, wm) {
+                let test_units = self.nodes[c as usize].join_tests.len() as u64 * cost::JOIN_TEST;
+                self.left_candidates(c, &anc, wm, &mut cands);
+                for &w in &cands {
+                    self.work.match_units += test_units;
+                    if eval_tests(&self.nodes[c as usize].join_tests, &anc, w, wm) {
                         self.new_token(c, t, Some(w), wm);
                     }
                 }
+                cands.clear();
             }
         }
+        self.wme_bufs.push(cands);
     }
 
     /// A negative token became blocked: delete its descendants and retract
     /// its instantiations if it reached a terminal.
     fn block_token(&mut self, t: u32) {
-        let children = std::mem::take(&mut self.tokens[t as usize].children);
-        for ch in children {
+        // Deleting descendants creates no token, so nothing is added to
+        // `t`'s children meanwhile; the emptied list goes back with its
+        // capacity.
+        let mut children = std::mem::take(&mut self.tokens[t as usize].children);
+        for &ch in &children {
             self.delete_token(ch);
         }
+        children.clear();
+        self.tokens[t as usize].children = children;
         if self.tokens[t as usize].emitted {
             self.tokens[t as usize].emitted = false;
             self.emit_retract(t);
@@ -757,10 +851,12 @@ impl Rete {
         if let Some(p) = &mut self.profile {
             p.tokens_deleted += 1;
         }
-        let children = std::mem::take(&mut self.tokens[t as usize].children);
-        for ch in children {
+        let mut children = std::mem::take(&mut self.tokens[t as usize].children);
+        for &ch in &children {
             self.delete_token(ch);
         }
+        children.clear();
+        self.tokens[t as usize].children = children;
         if self.tokens[t as usize].emitted {
             self.tokens[t as usize].emitted = false;
             self.emit_retract(t);
@@ -775,37 +871,41 @@ impl Rete {
         if let Some(pos) = toks.iter().position(|&x| x == t) {
             toks.remove(pos);
         }
-        // Undo index and blocker registrations.
-        let regs = std::mem::take(&mut self.tokens[t as usize].index_keys);
-        for (nd, key) in regs {
-            if let Some(bucket) = self.nodes[nd as usize].right_index.get_mut(&key) {
+        // Undo index and blocker registrations. The token's lists are
+        // emptied in place so a reused slot keeps their capacity.
+        let td = &mut self.tokens[t as usize];
+        for &(nd, key) in &td.index_keys {
+            let index = &mut self.nodes[nd as usize].right_index;
+            if let Some(bucket) = index.get_mut(&key) {
                 if let Some(pos) = bucket.iter().position(|&x| x == t) {
                     bucket.remove(pos);
                 }
                 if bucket.is_empty() {
-                    self.nodes[nd as usize].right_index.remove(&key);
+                    index.remove(&key);
                 }
             }
         }
-        let blockers = std::mem::take(&mut self.tokens[t as usize].neg_results);
-        for w in blockers {
-            if let Some(bucket) = self.nodes[n as usize].blocked_by.get_mut(&w) {
+        td.index_keys.clear();
+        let blocked_by = &mut self.nodes[n as usize].blocked_by;
+        for &w in &td.neg_results {
+            if let Some(bucket) = blocked_by.get_mut(&w) {
                 if let Some(pos) = bucket.iter().position(|&x| x == t) {
                     bucket.remove(pos);
                 }
                 if bucket.is_empty() {
-                    self.nodes[n as usize].blocked_by.remove(&w);
+                    blocked_by.remove(&w);
                 }
             }
         }
-        if let Some(w) = self.tokens[t as usize].wme {
-            if let Some(v) = self.wme_tokens.get_mut(&w) {
+        td.neg_results.clear();
+        if let Some(w) = td.wme {
+            if let Some(v) = self.wme_tokens.get_mut(w.0 as usize) {
                 if let Some(pos) = v.iter().position(|&x| x == t) {
                     v.remove(pos);
                 }
             }
         }
-        let p = self.tokens[t as usize].parent;
+        let p = td.parent;
         if p != DUMMY && self.tokens[p as usize].alive {
             let pc = &mut self.tokens[p as usize].children;
             if let Some(pos) = pc.iter().position(|&x| x == t) {
@@ -816,35 +916,46 @@ impl Rete {
         self.free.push(t);
     }
 
+    /// Takes a token slot, reusing a freed one (and the capacity of its
+    /// emptied lists) when there is one.
     fn alloc_token(&mut self, n: u32, parent: u32, wme: Option<WmeId>) -> u32 {
-        let td = TokenData {
-            parent,
-            wme,
-            node: n,
-            level: self.nodes[n as usize].level,
-            children: Vec::new(),
-            neg_results: Vec::new(),
-            index_keys: Vec::new(),
-            emitted: false,
-            alive: true,
-        };
+        let level = self.nodes[n as usize].level;
         if let Some(id) = self.free.pop() {
-            self.tokens[id as usize] = td;
+            let td = &mut self.tokens[id as usize];
+            debug_assert!(td.children.is_empty() && td.neg_results.is_empty());
+            debug_assert!(td.index_keys.is_empty());
+            td.parent = parent;
+            td.wme = wme;
+            td.node = n;
+            td.level = level;
+            td.emitted = false;
+            td.alive = true;
             id
         } else {
-            self.tokens.push(td);
+            self.tokens.push(TokenData {
+                parent,
+                wme,
+                node: n,
+                level,
+                children: Vec::new(),
+                neg_results: Vec::new(),
+                index_keys: Vec::new(),
+                emitted: false,
+                alive: true,
+            });
             (self.tokens.len() - 1) as u32
         }
     }
 
     /// WME ids of the token's chain, indexed by node level (`None` at
     /// negative-node levels).
-    fn ancestors(&self, t: u32) -> Vec<Option<WmeId>> {
-        let mut anc = vec![None; self.tokens[t as usize].level as usize + 1];
+    fn ancestors(&self, t: u32) -> Ancestry {
+        let mut anc = Ancestry::with_depth(self.tokens[t as usize].level as usize + 1);
+        let slots = anc.as_mut_slice();
         let mut cur = t;
         loop {
             let td = &self.tokens[cur as usize];
-            anc[td.level as usize] = td.wme;
+            slots[td.level as usize] = td.wme;
             if td.parent == DUMMY {
                 break;
             }
@@ -853,33 +964,53 @@ impl Rete {
         anc
     }
 
+    /// The positive WMEs of `t`'s chain in condition-element order: the
+    /// key of the instantiations it satisfies.
+    fn chain_wmes(&self, t: u32) -> Box<[WmeId]> {
+        let anc = self.ancestors(t);
+        let mut wmes = Vec::with_capacity(anc.iter().flatten().count());
+        wmes.extend(anc.iter().flatten());
+        wmes.into_boxed_slice()
+    }
+
     fn emit_insert(&mut self, n: u32, t: u32, wm: &WmStore) {
         self.tokens[t as usize].emitted = true;
-        let anc = self.ancestors(t);
-        let wmes: Vec<WmeId> = anc.into_iter().flatten().collect();
-        let time_tags: Vec<u64> = wmes.iter().map(|&w| wm.time_tag(w)).collect();
-        let terminals = self.nodes[n as usize].terminals.clone();
-        for (prod, specificity) in terminals {
+        let mut wmes = self.chain_wmes(t);
+        let mut time_tags: Box<[u64]> = wmes.iter().map(|&w| wm.time_tag(w)).collect();
+        let n_terminals = self.nodes[n as usize].terminals.len();
+        for i in 0..n_terminals {
+            let (prod, specificity) = self.nodes[n as usize].terminals[i];
             self.work.match_units += cost::CONFLICT_OP;
+            // The last terminal takes the buffers; earlier ones copy them.
+            let (w, tags) = if i + 1 == n_terminals {
+                (std::mem::take(&mut wmes), std::mem::take(&mut time_tags))
+            } else {
+                (wmes.clone(), time_tags.clone())
+            };
             self.events.push(MatchEvent::Insert(Instantiation::new(
                 prod,
-                wmes.clone().into_boxed_slice(),
-                time_tags.clone().into_boxed_slice(),
+                w,
+                tags,
                 specificity,
             )));
         }
     }
 
     fn emit_retract(&mut self, t: u32) {
-        let anc = self.ancestors(t);
-        let wmes: Vec<WmeId> = anc.into_iter().flatten().collect();
+        let mut wmes = self.chain_wmes(t);
         let n = self.tokens[t as usize].node;
-        let terminals = self.nodes[n as usize].terminals.clone();
-        for (prod, _) in terminals {
+        let n_terminals = self.nodes[n as usize].terminals.len();
+        for i in 0..n_terminals {
+            let (prod, _) = self.nodes[n as usize].terminals[i];
             self.work.match_units += cost::CONFLICT_OP;
+            let wmes = if i + 1 == n_terminals {
+                std::mem::take(&mut wmes)
+            } else {
+                wmes.clone()
+            };
             self.events.push(MatchEvent::Retract {
                 production: prod,
-                wmes: wmes.clone().into_boxed_slice(),
+                wmes,
             });
         }
     }

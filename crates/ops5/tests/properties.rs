@@ -469,6 +469,176 @@ proptest! {
     }
 }
 
+/// Chains deeper than the Rete's inline ancestry buffer (eight levels), so
+/// every activation below level 7 takes the heap spill path: `deep` has 11
+/// condition elements with negations at levels 4 and 8, and `sibling`
+/// shares its first eight nodes, ending in a negation at level 9.
+const DEEP_PROGRAM: &str = "
+    (literalize a x y)
+    (literalize b x y)
+    (literalize c x y)
+    (p deep
+       (a ^x <v> ^y <w>) (b ^x <v>) (c ^y <w>) (a ^x <v> ^y <w>)
+       -(b ^x <v> ^y 2)
+       (b ^x <v> ^y <w>) (c ^x <v>) (a ^y <w>)
+       -(c ^x <v> ^y 2)
+       (b ^y <w>) (c ^x <v> ^y <w>)
+       -->
+       (halt))
+    (p sibling
+       (a ^x <v> ^y <w>) (b ^x <v>) (c ^y <w>) (a ^x <v> ^y <w>)
+       -(b ^x <v> ^y 2)
+       (b ^x <v> ^y <w>) (c ^x <v>) (a ^y <w>)
+       (b ^y <> <w>) -(a ^x <> <v> ^y <w>)
+       -->
+       (halt))
+";
+
+/// The shared and unshared networks of [`DEEP_PROGRAM`] over one store,
+/// fed the same WME changes.
+struct DeepFix {
+    program: Program,
+    compiled: Arc<Vec<ops5::rete::CompiledProduction>>,
+    shared: Rete,
+    unshared: Rete,
+    wm: WmStore,
+    tag: u64,
+}
+
+impl DeepFix {
+    fn new() -> DeepFix {
+        let program = Program::parse(DEEP_PROGRAM).unwrap();
+        let compiled = Engine::compile(&program).unwrap();
+        let shared = Rete::from_compiled_with(&compiled, &program, ReteConfig::shared());
+        let unshared = Rete::from_compiled_with(&compiled, &program, ReteConfig::unshared());
+        DeepFix {
+            program,
+            compiled,
+            shared,
+            unshared,
+            wm: WmStore::new(),
+            tag: 0,
+        }
+    }
+
+    fn add(&mut self, class: u8, x: i64, y: i64) -> WmeId {
+        self.tag += 1;
+        let mut w = Wme::new(sym(["a", "b", "c"][class as usize % 3]), 2, self.tag);
+        w.set(0, Value::Int(x));
+        w.set(1, Value::Int(y));
+        let id = self.wm.add(w);
+        self.shared.add_wme(id, &self.wm);
+        self.unshared.add_wme(id, &self.wm);
+        id
+    }
+
+    fn remove(&mut self, id: WmeId) {
+        self.shared.remove_wme(id, &self.wm);
+        self.unshared.remove_wme(id, &self.wm);
+        self.wm.remove(id);
+    }
+
+    /// Applies both networks' pending events to their conflict sets,
+    /// checking the batches agree and the shared result equals a naive
+    /// re-match of the store.
+    fn sync(
+        &mut self,
+        shared_cs: &mut ConflictSet,
+        unshared_cs: &mut ConflictSet,
+    ) -> Result<(), TestCaseError> {
+        let (s, u) = (self.shared.drain_events(), self.unshared.drain_events());
+        prop_assert_eq!(canon_events(&s), canon_events(&u));
+        apply(shared_cs, s);
+        apply(unshared_cs, u);
+        let mut work = 0;
+        let expected = canonical(&match_all(
+            &self.program,
+            &self.compiled,
+            &self.wm,
+            &mut work,
+        ));
+        let got: Vec<_> = shared_cs.iter().cloned().collect();
+        prop_assert_eq!(canonical(&got), expected);
+        Ok(())
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Deep chains: after every WM change the shared network's conflict
+    /// set equals a naive re-match, and its events equal the unshared
+    /// network's.
+    #[test]
+    fn deep_chains_match_naive_and_unshared(
+        ops in prop::collection::vec(
+            prop_oneof![
+                3 => (0u8..3, 0i64..2, 0i64..3).prop_map(|(c, x, y)| Op::Add { class: c, x: x as i8, y: y as i8 }),
+                1 => (0u8..64).prop_map(Op::Remove),
+            ],
+            1..30,
+        ),
+    ) {
+        let mut f = DeepFix::new();
+        let (mut scs, mut ucs) = (ConflictSet::new(), ConflictSet::new());
+        let mut live = Vec::new();
+        for op in ops {
+            match op {
+                Op::Add { class, x, y } => live.push(f.add(class, x.into(), y.into())),
+                Op::Remove(k) => {
+                    if live.is_empty() { continue; }
+                    let id = live.swap_remove(k as usize % live.len());
+                    f.remove(id);
+                }
+            }
+            f.sync(&mut scs, &mut ucs)?;
+        }
+    }
+}
+
+/// A working memory that satisfies the 11-element `deep` chain and the
+/// 10-element `sibling`, then a blocker at level 8 and its removal: the
+/// spilled ancestry must carry the bindings the deep negation joins on.
+#[test]
+fn deep_chain_spills_and_blocks_at_depth() {
+    // Instantiations per production: (deep, sibling).
+    let per_prod = |cs: &ConflictSet| {
+        let deep = cs.iter().filter(|i| i.production == 0).count();
+        (deep, cs.len() - deep)
+    };
+    let run = || -> Result<(), TestCaseError> {
+        let mut f = DeepFix::new();
+        let (mut scs, mut ucs) = (ConflictSet::new(), ConflictSet::new());
+        for class in 0..3 {
+            f.add(class, 0, 0);
+        }
+        f.sync(&mut scs, &mut ucs)?;
+        prop_assert_eq!(per_prod(&scs), (1, 0), "one WME per class satisfies deep");
+        f.add(1, 5, 1);
+        f.sync(&mut scs, &mut ucs)?;
+        prop_assert_eq!(
+            per_prod(&scs),
+            (1, 1),
+            "sibling joins b ^y 1 <> 0 at level 8"
+        );
+        // c(0 2) blocks deep at level 8, and gives sibling a second match
+        // for its (c ^x <v>) at level 6.
+        let blocker = f.add(2, 0, 2);
+        f.sync(&mut scs, &mut ucs)?;
+        prop_assert_eq!(per_prod(&scs), (0, 2));
+        f.remove(blocker);
+        f.sync(&mut scs, &mut ucs)?;
+        prop_assert_eq!(
+            per_prod(&scs),
+            (1, 1),
+            "removing the blocker re-satisfies deep"
+        );
+        prop_assert_eq!(per_prod(&ucs), (1, 1));
+        Ok(())
+    };
+    run().unwrap();
+}
+
 /// At realistic working-memory sizes the incremental Rete does far less
 /// match work than naive re-matching — the substance of the paper's 10–20×
 /// "port to C + ParaOPS5" baseline speed-up (§6).

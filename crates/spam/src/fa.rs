@@ -3,7 +3,7 @@
 use crate::externals::{register, ExternalCtx};
 use crate::fragments::FragmentHypothesis;
 use crate::lcc::ConsistentRec;
-use crate::rules::SpamProgram;
+use crate::rules::{run_to_quiescence, SpamProgram, MAX_FIRINGS};
 use crate::scene::Scene;
 use ops5::{sym, CycleStats, Value, WorkCounters};
 use std::sync::Arc;
@@ -93,8 +93,7 @@ pub fn run_fa(
         )
         .expect("consistent");
     }
-    let out = e.run(1_000_000);
-    debug_assert!(out.quiescent(), "FA must reach quiescence: {out:?}");
+    let out = run_to_quiescence(&mut e, MAX_FIRINGS, &"FA");
 
     let program = e.program();
     let area_class = sym("fa-area");

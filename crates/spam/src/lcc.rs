@@ -18,7 +18,7 @@
 use crate::constraints::{constraints_for, Relation};
 use crate::externals::{register, ExternalCtx};
 use crate::fragments::{FragmentHypothesis, FragmentKind, ALL_KINDS};
-use crate::rules::SpamProgram;
+use crate::rules::{run_to_quiescence, SpamProgram, MAX_FIRINGS};
 use crate::scene::Scene;
 use ops5::{CycleStats, Engine, MatchProfile, WorkCounters};
 use std::collections::BTreeSet;
@@ -217,10 +217,6 @@ pub fn decompose(scene: &Scene, fragments: &[FragmentHypothesis], level: Level) 
     }
 }
 
-/// Most firings one LCC task may take. A run that reaches the cap, halts or
-/// stops on an error fails the task instead of being harvested half done.
-const MAX_TASK_FIRINGS: u64 = 1_000_000;
-
 /// Loads one task's working memory into an engine (working-memory
 /// distribution, §5.1): the subject fragment(s), their spatial
 /// neighbourhoods, the applicable constraint records, and the task element
@@ -267,12 +263,7 @@ fn run_unit_on(
     e.enable_cycle_log();
     wm.load_control(e);
     wm.load(e, unit);
-    let out = e.run(MAX_TASK_FIRINGS);
-    assert!(
-        out.quiescent(),
-        "LCC task {} stopped short of quiescence: {out:?}",
-        unit.label()
-    );
+    let out = run_to_quiescence(e, MAX_FIRINGS, &format_args!("LCC task {}", unit.label()));
     e.publish_live();
     e.publish_trace();
     let profile = profile.then(|| e.take_profile()).flatten();

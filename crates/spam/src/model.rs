@@ -3,7 +3,7 @@
 use crate::externals::{register, ExternalCtx};
 use crate::fa::FunctionalArea;
 use crate::fragments::FragmentHypothesis;
-use crate::rules::SpamProgram;
+use crate::rules::{run_to_quiescence, SpamProgram, MAX_FIRINGS};
 use crate::scene::Scene;
 use ops5::{sym, CycleStats, Value, WorkCounters};
 use spam_geometry::{convex_hull, intersection_area, Point, Polygon};
@@ -149,8 +149,7 @@ pub fn run_model(
         )
         .expect("fa-area");
     }
-    let out = e.run(1_000_000);
-    debug_assert!(out.quiescent(), "MODEL must reach quiescence: {out:?}");
+    let out = run_to_quiescence(&mut e, MAX_FIRINGS, &"MODEL");
 
     let program = e.program();
     let model_class = sym("model");

@@ -2,7 +2,7 @@
 
 use crate::externals::{register, ExternalCtx};
 use crate::fragments::{FragmentHypothesis, FragmentKind};
-use crate::rules::SpamProgram;
+use crate::rules::{run_to_quiescence, SpamProgram, MAX_FIRINGS};
 use crate::scene::{Region, Scene};
 use ops5::{sym, CycleStats, Engine, Value, WorkCounters};
 use std::sync::Arc;
@@ -165,8 +165,11 @@ fn run_rtf_task_inner(
         let fields = region_fields(&scene.regions[rid as usize]);
         e.make_wme("region", &fields).expect("region class");
     }
-    let out = e.run(1_000_000);
-    debug_assert!(out.quiescent(), "RTF must reach quiescence: {out:?}");
+    let out = run_to_quiescence(
+        &mut e,
+        MAX_FIRINGS,
+        &format_args!("RTF task of {} regions (id base {id_base})", regions.len()),
+    );
     let prof = if profile { e.take_profile() } else { None };
     (
         RtfResult {

@@ -601,10 +601,67 @@ impl SpamProgram {
     }
 }
 
+/// Most firings one phase or task engine may take. A run that reaches it
+/// has not converged, and [`run_to_quiescence`] fails it.
+pub const MAX_FIRINGS: u64 = 1_000_000;
+
+/// Runs `e` for at most `cap` firings and returns the outcome, which is
+/// quiescent: every phase and task engine of the pipeline ends this way
+/// before its working memory is harvested.
+///
+/// # Panics
+/// When the run stops short of quiescence — the cap, a `halt`, or a run
+/// error — naming `what` and carrying the outcome in the message, in
+/// release builds too: a truncated engine is never harvested as a result.
+/// Under supervision the panic fails the task attempt, which is retried or
+/// dead-lettered.
+pub fn run_to_quiescence(
+    e: &mut ops5::Engine,
+    cap: u64,
+    what: &dyn std::fmt::Display,
+) -> ops5::RunOutcome {
+    let out = e.run(cap);
+    assert!(
+        out.quiescent(),
+        "{what} stopped short of quiescence: {out:?}"
+    );
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use ops5::Program;
+
+    /// The panic message of `run_to_quiescence` on `src` with a 50-firing
+    /// cap, or `None` when the run reached quiescence.
+    fn quiescence_failure(src: &str) -> Option<String> {
+        let mut e = ops5::Engine::new(std::sync::Arc::new(Program::parse(src).unwrap()));
+        e.make_wme("c", &[("n", 0i64.into())]).unwrap();
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_to_quiescence(&mut e, 50, &"probe phase")
+        }))
+        .err()
+        .map(|p| *p.downcast::<String>().expect("formatted message"))
+    }
+
+    #[test]
+    fn run_to_quiescence_fails_a_capped_or_halted_run() {
+        let runaway = "(literalize c n)
+            (p up (c ^n <n>) --> (modify 1 ^n (compute <n> + 1)))";
+        let msg = quiescence_failure(runaway).expect("a capped run fails");
+        assert!(msg.contains("probe phase"), "{msg}");
+        assert!(msg.contains("limit_reached: true"), "{msg}");
+
+        let halting = "(literalize c n)
+            (p stop (c ^n 0) --> (halt))";
+        let msg = quiescence_failure(halting).expect("a halted run fails");
+        assert!(msg.contains("halted: true"), "{msg}");
+
+        let converging = "(literalize c n)
+            (p up (c ^n { <n> < 3 }) --> (modify 1 ^n (compute <n> + 1)))";
+        assert_eq!(quiescence_failure(converging), None);
+    }
 
     #[test]
     fn full_program_parses() {
